@@ -164,15 +164,17 @@ def _steady_point(task):
         row["sc_x"], row["sc_y"], row["sc_z"] = fp_sel.state.x, fp_sel.state.y, fp_sel.state.z
 
         payload = {"row": row, "index": index}
+        moments = None
+        if outputs & {"entanglement", "cphi", "eigenvalues"}:
+            try:
+                moments, _, _ = _hp_steady(params, offset)
+            except PointFailure:
+                pass
         if "entanglement" in outputs or "cphi" in outputs:
             ent = entanglement_curve(rho, algebra)
             row["c_r"] = ent.c_r
             row["phi_star"] = ent.phi_star
-            try:
-                moments, _, _ = _hp_steady(params, offset)
-                row["c_r_hp"] = hp_entanglement(moments).c_r
-            except PointFailure:
-                row["c_r_hp"] = np.nan
+            row["c_r_hp"] = np.nan if moments is None else hp_entanglement(moments).c_r
             if "cphi" in outputs:
                 payload["cphi"] = (ent.phi_grid, ent.c_phi)
         if "eigenvalues" in outputs:
@@ -181,13 +183,12 @@ def _steady_point(task):
             row["phase"] = phase
             row["re_mu_p"], row["im_mu_p"] = pair.mu_plus.real, pair.mu_plus.imag
             row["re_mu_m"], row["im_mu_m"] = pair.mu_minus.real, pair.mu_minus.imag
-            try:
-                moments, _, _ = _hp_steady(params, offset)
+            if moments is None:
+                row["n_ss"] = row["re_m_ss"] = row["im_m_ss"] = np.nan
+            else:
                 row["n_ss"], row["re_m_ss"], row["im_m_ss"] = (
                     moments.n, moments.m.real, moments.m.imag,
                 )
-            except PointFailure:
-                row["n_ss"] = row["re_m_ss"] = row["im_m_ss"] = np.nan
         if "semiclassical" in outputs:
             payload["semiclassical"] = [
                 (params.lam, params.h, f.branch, f.state.x, f.state.y, f.state.z, f.stable)

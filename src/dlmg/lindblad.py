@@ -13,13 +13,15 @@ Density matrices are plain complex ndarrays.  Vectorization is row-major
 (numpy C order), so vec(A X B) = (A kron B^T) vec(X).
 
 Steady states: the vectorized Liouvillian is singular with (generically) a
-one-dimensional kernel spanned by the steady state.  For small dimensions the
-trace-augmented dense least-squares problem is solved directly; for large
-dimensions one diagonal row of the sparse Liouvillian is replaced by the
-trace row and the system is solved by sparse LU.  Uniqueness is probed by
-re-solving with a different replaced row.  If the direct solve fails to reach
-the residual tolerance, long-time integration from the maximally mixed state
-is used as a fallback.
+one-dimensional kernel spanned by the steady state.  One diagonal row of the
+sparse Liouvillian is replaced by the trace row, the system is factorized by
+sparse LU at every dimension, and the solve finishes with one step of
+iterative refinement on the same factorization.  The refinement step keeps
+the relative accuracy of tiny populations (e.g. the far tail of the Dicke
+ladder), which the fill-reducing ordering of the factorization alone loses.
+Uniqueness is probed by re-solving with a different replaced row.  If the
+direct solve fails to reach the residual tolerance, long-time integration
+from the maximally mixed state is used as a fallback.
 """
 
 from __future__ import annotations
@@ -35,10 +37,6 @@ from scipy.integrate import solve_ivp
 from .operators import Operator, expectation
 
 logger = logging.getLogger(__name__)
-
-# Vectorized dimension at or below which the dense solver path is used.
-DENSE_DIM_CUTOFF = 64
-
 
 class SteadyStateError(RuntimeError):
     """Steady-state solve failed; carries the best residual achieved."""
@@ -141,23 +139,25 @@ def _solve_replaced_row(lv: sp.csr_matrix, d: int, row: int) -> np.ndarray:
     """Solve L v = 0, tr v = 1 with the diagonal row ``row`` replaced by the trace row.
 
     The diagonal rows of a Lindblad Liouvillian sum to zero (trace
-    preservation), so replacing one of them loses no information.  Dense LU
-    below the cutoff, sparse LU above.
+    preservation), so replacing one of them loses no information.  The
+    system is factorized once by sparse LU; one step of iterative refinement
+    on that factorization (one matvec, one triangular solve) restores the
+    relative accuracy of tiny populations.  Raises RuntimeError if the
+    factorization finds the matrix exactly singular.
     """
-    n = d * d
     replaced = row * (d + 1)
-    rhs = np.zeros(n, dtype=np.complex128)
+    start, stop = lv.indptr[replaced], lv.indptr[replaced + 1]
+    indices = np.concatenate((lv.indices[:start], _trace_indices(d), lv.indices[stop:]))
+    data = np.concatenate((lv.data[:start], np.ones(d, dtype=lv.dtype), lv.data[stop:]))
+    indptr = lv.indptr.copy()
+    indptr[replaced + 1:] += d - (stop - start)
+    mat = sp.csr_matrix((data, indices, indptr), shape=lv.shape)
+    rhs = np.zeros(d * d, dtype=np.complex128)
     rhs[replaced] = 1.0
-    if d <= DENSE_DIM_CUTOFF:
-        mat = lv.toarray()
-        mat[replaced, :] = 0.0
-        mat[replaced, _trace_indices(d)] = 1.0
-        return np.linalg.solve(mat, rhs)
-    lv = lv.tolil(copy=True)
-    lv.rows[replaced] = list(_trace_indices(d))
-    lv.data[replaced] = [1.0 + 0j] * d
-    lu = spla.splu(lv.tocsc())
-    return lu.solve(rhs)
+    lu = spla.splu(mat.tocsc())
+    vec = lu.solve(rhs)
+    vec += lu.solve(rhs - mat @ vec)
+    return vec
 
 
 def _residual(spec: LindbladSpec, rho: np.ndarray) -> float:
@@ -185,7 +185,7 @@ def steady_state(
     for row in (0, d - 1):
         try:
             candidate = _finalize_state(_solve_replaced_row(lv, d, row), d)
-        except (np.linalg.LinAlgError, RuntimeError):
+        except RuntimeError:
             continue
         r = _residual(spec, candidate)
         if r < res:
@@ -206,7 +206,7 @@ def steady_state(
         probe_row = d // 2
         try:
             rho2 = _finalize_state(_solve_replaced_row(lv, d, probe_row), d)
-        except (np.linalg.LinAlgError, RuntimeError):
+        except RuntimeError:
             # An exactly singular re-solve means the trace constraint did not
             # pin the kernel down: more than one fixed point.
             raise NonUniqueSteadyStateError(
