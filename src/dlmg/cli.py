@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .lindblad import evolve, steady_state
 from .models import ConfigError, LMGParams, build_gamma0, model_params_from_config, parse_config_text
-from .observables import entanglement_curve, hp_entanglement, spin_qfunction
+from .observables import entanglement_curve, hp_entanglement, spin_qfunction, trajectory_moments
 from .operators import all_up_state, build_algebra, dicke_state, expectation
 from .presets import PRESETS
 from .hp import (
@@ -118,13 +118,19 @@ def _point_params(model_cfg: dict, n_atoms: int, variable: str, value: float) ->
     return model_params_from_config(cfg)
 
 
-def _hp_steady(params: LMGParams, offset: float = SINGULAR_OFFSET):
-    """HP steady moments at a sweep point; singular points get a small coupling offset."""
-    for trial in (params, _offset_params(params, +offset), _offset_params(params, -offset)):
+def _hp_steady(params: LMGParams, fp, offset: float = SINGULAR_OFFSET):
+    """HP steady moments at a sweep point whose selected branch is ``fp``.
+
+    Singular points get a small coupling offset, with the branch re-selected
+    at the shifted coupling.
+    """
+    trials = ((params, fp), (_offset_params(params, +offset), None),
+              (_offset_params(params, -offset), None))
+    for trial, fp in trials:
         try:
-            fp = selected_branch(trial)
-            coeffs = hp_coefficients(trial, fp)
-            return moment_steady_state(coeffs), fp, trial
+            if fp is None:
+                fp = selected_branch(trial)
+            return moment_steady_state(hp_coefficients(trial, fp))
         except (NoStableGaussianState, ValueError):
             continue
     raise PointFailure("no stable Gaussian steady state near this point")
@@ -167,7 +173,7 @@ def _steady_point(task):
         moments = None
         if outputs & {"entanglement", "cphi", "eigenvalues"}:
             try:
-                moments, _, _ = _hp_steady(params, offset)
+                moments = _hp_steady(params, fp_sel, offset)
             except PointFailure:
                 pass
         if "entanglement" in outputs or "cphi" in outputs:
@@ -279,17 +285,16 @@ def _dynamics_point(task):
             algebra = build_algebra(params.n_atoms)
             spec = build_gamma0(params, algebra)
             rho0 = all_up_state(params.n_atoms) if m0 is None else dicke_state(params.n_atoms, m0)
-            traj = evolve(spec, rho0, times, tol=1e-8)
+            moments = trajectory_moments(evolve(spec, rho0, times).states, algebra)
             j2 = (params.n_atoms / 2.0) ** 2
             for k, t in enumerate(times):
-                rho = traj.states[k]
                 row = {"lambda": params.lam, "h": params.h, "t": t}
                 if "entanglement" in outputs:
-                    row["c_r"] = entanglement_curve(rho, algebra).c_r
+                    row["c_r"] = moments["c_r"][k]
                 if "moments" in outputs:
-                    row["jx2"] = expectation(algebra.jx @ algebra.jx, rho).real / j2
-                    row["jy2"] = expectation(algebra.jy @ algebra.jy, rho).real / j2
-                    row["jz2"] = expectation(algebra.jz @ algebra.jz, rho).real / j2
+                    row["jx2"] = moments["jx2"][k] / j2
+                    row["jy2"] = moments["jy2"][k] / j2
+                    row["jz2"] = moments["jz2"][k] / j2
                 if hp_cr is not None:
                     row["c_r_hp"] = hp_cr[k]
                 rows.append(row)

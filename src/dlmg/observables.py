@@ -28,7 +28,7 @@ from math import lgamma
 import numpy as np
 
 from .hp import MomentState
-from .operators import DickeAlgebra, expectation
+from .operators import DickeAlgebra, expectation, expectation_values
 
 logger = logging.getLogger(__name__)
 
@@ -48,18 +48,41 @@ class QFunctionGrid:
     values: np.ndarray  # shape (len(thetas), len(phis))
 
 
-def _second_moments(rho: np.ndarray, algebra: DickeAlgebra) -> dict:
+def _moment_operators(algebra: DickeAlgebra) -> dict:
+    """The collective operators whose expectations C_phi and C_R are built from."""
     jx, jy, jz, jp = algebra.jx, algebra.jy, algebra.jz, algebra.jplus
     return {
-        "jx": expectation(jx, rho).real,
-        "jy": expectation(jy, rho).real,
-        "jz": expectation(jz, rho).real,
-        "jx2": expectation(jx @ jx, rho).real,
-        "jy2": expectation(jy @ jy, rho).real,
-        "jz2": expectation(jz @ jz, rho).real,
-        "jxjy_sym": expectation(jx @ jy + jy @ jx, rho).real,
-        "jp2": expectation(jp @ jp, rho),
+        "jx": jx,
+        "jy": jy,
+        "jz": jz,
+        "jx2": jx @ jx,
+        "jy2": jy @ jy,
+        "jz2": jz @ jz,
+        "jxjy_sym": jx @ jy + jy @ jx,
+        "jp2": jp @ jp,
     }
+
+
+def _second_moments(rho: np.ndarray, algebra: DickeAlgebra) -> dict:
+    moments = {name: expectation(op, rho) for name, op in _moment_operators(algebra).items()}
+    return {name: v if name == "jp2" else v.real for name, v in moments.items()}
+
+
+def trajectory_moments(states: np.ndarray, algebra: DickeAlgebra) -> dict:
+    """Collective moments and C_R along a (T, d, d) stack of states.
+
+    The moments are evaluated for all states in one linear map
+    (:func:`expectation_values`); ``"c_r"`` holds the rescaled concurrence of
+    each state, from the same moments.  Every value is an array of length T.
+    """
+    values = expectation_values(_moment_operators(algebra), states)
+    moments = {name: v if name == "jp2" else v.real for name, v in values.items()}
+    n = algebra.n_spins
+    moments["c_r"] = np.array([
+        _rescaled_concurrence_from_moments({name: v[k] for name, v in moments.items()}, n)
+        for k in range(len(states))
+    ])
+    return moments
 
 
 def c_phi(rho: np.ndarray, algebra: DickeAlgebra, phi: float) -> float:

@@ -206,6 +206,22 @@ def expectation(op, rho: np.ndarray) -> complex:
     return complex(np.sum(mat * rho.T))
 
 
+def expectation_values(ops: dict, states: np.ndarray) -> dict:
+    """Trace(op @ rho) of each named operator on every state of a (T, d, d) stack.
+
+    One linear map over the stacked states: row-major vec(rho) dotted with
+    vec(op^T), for all operators at once.  Returns complex arrays of length T.
+    """
+    states = np.asarray(states)
+    d = states.shape[-1]
+    rows = sp.vstack([
+        sp.csr_matrix((op.data if isinstance(op, Operator) else op).T).reshape(1, d * d)
+        for op in ops.values()
+    ]).tocsr()
+    values = rows @ states.reshape(-1, d * d).T
+    return dict(zip(ops, values))
+
+
 def commutator(a, b) -> np.ndarray:
     """[a, b] as a dense matrix."""
     am = a.dense() if isinstance(a, Operator) else np.asarray(a)

@@ -306,7 +306,7 @@ def test_criterion_9_invariant_suite():
     # trace/Hermiticity/positivity along a trajectory
     p = params_at(lam=1.5, n=12)
     traj = evolve(build_gamma0(p, build_algebra(12)), all_up_state(12),
-                  np.linspace(0, 8, 17), tol=1e-9)
+                  np.linspace(0, 8, 17))
     for state in traj.states:
         checks.append(abs(np.trace(state) - 1.0) <= 1e-8)
         checks.append(np.max(np.abs(state - state.conj().T)) <= 1e-8)
@@ -341,7 +341,7 @@ def test_criterion_10_dynamics_consistency():
     for lam in (0.8, 1.2):
         p = params_at(lam=lam)
         spec = build_gamma0(p, alg)
-        traj = evolve(spec, all_up_state(100), np.array([60.0, 80.0]), tol=1e-8)
+        traj = evolve(spec, all_up_state(100), np.array([60.0, 80.0]))
         cr_t = rescaled_concurrence(traj.states[-1], alg)
         cr_ss = rescaled_concurrence(steady_state(spec, tol=1e-10, check_unique=False), alg)
         rel_diffs[lam] = abs(cr_t - cr_ss) / cr_ss

@@ -147,6 +147,46 @@ def test_dynamics_lambda_zero_column_unentangled(tmp_path):
     assert np.allclose(lam0, 0.0, atol=1e-10)
 
 
+def test_dynamics_columns_match_per_state_observables(tmp_path):
+    from dlmg.lindblad import evolve
+    from dlmg.models import LMGParams, build_gamma0
+    from dlmg.observables import rescaled_concurrence
+    from dlmg.operators import all_up_state, build_algebra, expectation
+
+    cfg = write_config(
+        tmp_path,
+        {
+            "n_atoms": "6",
+            "h": "1.0",
+            "gamma_a": "0.01",
+            "gamma_b": "0.2",
+            "sweep.variable": "lambda",
+            "sweep.start": "0.5",
+            "sweep.stop": "1.5",
+            "sweep.points": "2",
+            "dynamics.t_end": "4.0",
+            "dynamics.t_points": "9",
+            "outputs": "entanglement,moments",
+        },
+    )
+    out = tmp_path / "dyn"
+    assert cli.main(["dynamics", "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 0
+    lines = [l for l in (out / "dynamics_N6.csv").read_text().splitlines() if not l.startswith("#")]
+    header, rows = lines[0].split(","), [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
+    assert header == ["lambda", "h", "t", "c_r", "jx2", "jy2", "jz2"]
+    assert len(rows) == 18
+
+    alg = build_algebra(6)
+    times = np.linspace(0.0, 4.0, 9)
+    for k, lam in enumerate((0.5, 1.5)):
+        spec = build_gamma0(LMGParams(n_atoms=6, h=1.0, lam=lam, Gamma_a=0.01, Gamma_b=0.2), alg)
+        states = evolve(spec, all_up_state(6), times).states
+        for row, rho in zip(rows[k * 9:(k + 1) * 9], states):
+            assert abs(float(row["c_r"]) - rescaled_concurrence(rho, alg)) <= 1e-12
+            for name, op in (("jx2", alg.jx), ("jy2", alg.jy), ("jz2", alg.jz)):
+                assert abs(float(row[name]) - expectation(op @ op, rho).real / 9.0) <= 1e-12
+
+
 def test_spectrum_command_writes_per_value_files(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm, null_space
+from scipy.sparse.linalg import expm_multiply
 
+from dlmg import lindblad
 from dlmg.lindblad import (
     LindbladSpec,
     NonUniqueSteadyStateError,
@@ -16,7 +19,8 @@ from dlmg.lindblad import (
     steady_state,
     validate_density_matrix,
 )
-from dlmg.models import LMGParams, build_gamma0
+from dlmg.models import LMGParams, build_gamma0, build_isotropic
+from dlmg.observables import _coherent_state
 from dlmg.operators import Operator, all_up_state, build_algebra, dicke_state, expectation
 
 
@@ -212,6 +216,19 @@ def test_steady_state_is_a_density_matrix(n, h, lam, gamma_a, gamma_b):
     assert np.max(np.abs(liouvillian_apply(spec, rho))) <= tol
 
 
+def test_steady_state_integration_fallback_matches_direct_solve(monkeypatch):
+    spec = gamma0_spec(6, h=1.0, lam=1.3, gamma_a=0.01, gamma_b=0.2)
+    direct = steady_state(spec, tol=1e-10)
+
+    def singular(*args):
+        raise RuntimeError("forced singular factorization")
+
+    monkeypatch.setattr(lindblad, "_solve_replaced_row", singular)
+    rho = steady_state(spec, tol=1e-10, check_unique=False)
+    assert np.max(np.abs(rho - direct)) <= 1e-9
+    assert np.max(np.abs(liouvillian_apply(spec, rho))) <= 1e-10
+
+
 def test_steady_state_validates():
     spec = gamma0_spec(30, h=1.0, lam=2.0, gamma_a=0.01, gamma_b=0.2)
     rho = steady_state(spec, tol=1e-11)
@@ -225,7 +242,7 @@ def test_evolve_eigenstate_constant():
     alg = build_algebra(4)
     spec = LindbladSpec(hamiltonian=alg.jz)
     rho0 = all_up_state(4)
-    traj = evolve(spec, rho0, np.linspace(0, 5, 11), tol=1e-10)
+    traj = evolve(spec, rho0, np.linspace(0, 5, 11))
     for state in traj.states:
         assert np.max(np.abs(state - rho0)) <= 1e-9
 
@@ -237,7 +254,7 @@ def test_evolve_pump_up_matches_dense_propagator():
     alg = build_algebra(4)
     rho0 = dicke_state(4, -2.0)
     times = np.linspace(0.0, 8.0, 17)
-    traj = evolve(spec, rho0, times, tol=1e-10, observables={"jz": alg.jz})
+    traj = evolve(spec, rho0, times, observables={"jz": alg.jz})
     jz = traj.expectations["jz"]
     assert np.all(np.diff(jz) > -1e-9)
     assert jz[-1] > 1.9
@@ -252,11 +269,65 @@ def test_evolve_pump_up_matches_dense_propagator():
 
 def test_evolve_trajectory_invariants():
     spec = gamma0_spec(12, h=1.0, lam=1.5, gamma_a=0.01, gamma_b=0.2)
-    traj = evolve(spec, all_up_state(12), np.linspace(0, 8, 17), tol=1e-9)
+    traj = evolve(spec, all_up_state(12), np.linspace(0, 8, 17))
     for state in traj.states:
         assert abs(np.trace(state) - 1.0) <= 1e-8
         assert np.max(np.abs(state - state.conj().T)) <= 1e-8
         assert np.linalg.eigvalsh(0.5 * (state + state.conj().T)).min() >= -1e-6
+
+
+def test_evolve_matches_dop853_oracle_n50():
+    # Independent high-order integration of the full generator, t in [0, 10].
+    spec = gamma0_spec(50, h=1.0, lam=1.9, gamma_a=0.01, gamma_b=0.2)
+    rho0 = all_up_state(50)
+    times = np.linspace(0.0, 10.0, 11)
+    lv = liouvillian_matrix(spec)
+    sol = solve_ivp(lambda _, v: lv @ v, (0.0, 10.0), rho0.reshape(-1), method="DOP853",
+                    t_eval=times, rtol=1e-12, atol=1e-14)
+    assert sol.success
+    traj = evolve(spec, rho0, times)
+    assert np.max(np.abs(traj.states.reshape(len(times), -1) - sol.y.T)) <= 1e-9
+
+
+def test_evolve_reachable_block_sizes():
+    # gamma = 0 from all-up keeps the even-parity block (i - j even); gamma = +1
+    # from a Dicke state keeps the N + 1 populations.
+    n, d = 10, 11
+    idx, lv_r = lindblad._reachable_block(
+        liouvillian_matrix(gamma0_spec(n, 1.0, 1.3, 0.01, 0.2)), all_up_state(n).reshape(-1)
+    )
+    i, j = np.divmod(idx, d)
+    assert len(idx) == 6**2 + 5**2 and np.all((i - j) % 2 == 0)
+    assert lv_r.shape == (len(idx), len(idx))
+    params = LMGParams(n_atoms=n, h=1.0, lam=1.3, gamma_anisotropy=1, Gamma_a=0.01, Gamma_b=0.2)
+    spec = build_isotropic(params, build_algebra(n))
+    idx, _ = lindblad._reachable_block(liouvillian_matrix(spec), dicke_state(n, 1.0).reshape(-1))
+    assert np.array_equal(idx, np.arange(d) * (d + 1))
+
+
+def test_evolve_odd_coherences_match_full_space_propagator():
+    # The spin coherent state at theta = pi/2 has coherences of both parities,
+    # so nothing may be dropped.
+    n, d = 8, 9
+    spec = gamma0_spec(n, h=1.0, lam=1.3, gamma_a=0.01, gamma_b=0.2)
+    psi = _coherent_state(n, np.pi / 2, 0.0)
+    rho0 = np.outer(psi, psi.conj())
+    times = np.linspace(0.0, 4.0, 9)
+    traj = evolve(spec, rho0, times)
+    oracle = expm_multiply(liouvillian_matrix(spec), rho0.reshape(-1), start=0.0, stop=4.0,
+                           num=9, endpoint=True)
+    assert np.max(np.abs(traj.states.reshape(len(times), -1) - oracle)) <= 1e-12
+    assert np.max(np.abs(traj.states[-1][0, 1])) > 1e-3
+
+
+def test_evolve_isotropic_from_dicke_state_stays_diagonal():
+    n = 8
+    params = LMGParams(n_atoms=n, h=1.0, lam=1.3, gamma_anisotropy=1, Gamma_a=0.05, Gamma_b=0.2)
+    spec = build_isotropic(params, build_algebra(n))
+    traj = evolve(spec, dicke_state(n, 1.0), np.linspace(0.0, 5.0, 6))
+    for state in traj.states:
+        assert np.count_nonzero(state - np.diag(np.diag(state))) == 0
+        assert abs(np.trace(state) - 1.0) <= 1e-12
 
 
 def test_evolve_rejects_bad_times():
@@ -271,7 +342,7 @@ def test_trajectory_csv_export(tmp_path):
     alg = build_algebra(3)
     spec = gamma0_spec(3, h=1.0, lam=0.4, gamma_a=0.0, gamma_b=0.3)
     traj = evolve(
-        spec, all_up_state(3), np.linspace(0, 1, 5), tol=1e-9,
+        spec, all_up_state(3), np.linspace(0, 1, 5),
         observables={"jz": alg.jz, "jx2": alg.jx @ alg.jx},
     )
     path = tmp_path / "traj.csv"

@@ -12,6 +12,7 @@ from dlmg.operators import (
     commutator,
     dicke_state,
     expectation,
+    expectation_values,
 )
 
 
@@ -126,3 +127,17 @@ def test_hermitian_flag():
     assert alg.jx.is_hermitian()
     assert not alg.jplus.is_hermitian()
     assert Operator(np.array([[1.0, 1e-13], [0.0, 2.0]])).is_hermitian(tol=1e-12)
+
+
+@pytest.mark.parametrize("n", [6, 100])
+def test_expectation_values_match_per_state_expectation(n):
+    # Dense storage at n = 6, sparse at n = 100.
+    alg = build_algebra(n)
+    rng = np.random.default_rng(3)
+    states = rng.normal(size=(4, n + 1, n + 1)) + 1j * rng.normal(size=(4, n + 1, n + 1))
+    ops = {"jx": alg.jx, "jp2": alg.jplus @ alg.jplus, "raw": alg.jz.dense()}
+    values = expectation_values(ops, states)
+    assert list(values) == ["jx", "jp2", "raw"]
+    for name, op in ops.items():
+        expected = [expectation(op, rho) for rho in states]
+        assert np.allclose(values[name], expected, rtol=1e-13, atol=1e-10)
