@@ -126,11 +126,11 @@ def _hp_steady(params: LMGParams, fp, offset: float = SINGULAR_OFFSET):
     """
     trials = ((params, fp), (_offset_params(params, +offset), None),
               (_offset_params(params, -offset), None))
-    for trial, fp in trials:
+    for trial, branch in trials:
         try:
-            if fp is None:
-                fp = selected_branch(trial)
-            return moment_steady_state(hp_coefficients(trial, fp))
+            if branch is None:
+                branch = selected_branch(trial)
+            return moment_steady_state(hp_coefficients(trial, branch))
         except (NoStableGaussianState, ValueError):
             continue
     raise PointFailure("no stable Gaussian steady state near this point")
