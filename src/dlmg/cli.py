@@ -6,11 +6,14 @@
 Configuration is a flat ``key = value`` file; a preset supplies a base block
 that the config file overrides key by key.  Sweep points are independent
 solves dispatched to a worker pool; results are collected and written in
-point order, so identical configs produce byte-identical CSV files.  Every
-run writes a ``manifest.json`` recording the merged config, tool version,
-wall time, output files, and per-point diagnostics.  Exit code 0 means full
-success, 2 partial per-point failures, 1 a configuration error.  The env var
-``DLMG_LOG`` (debug/info/warning/error) selects log verbosity.
+point order, so identical configs produce byte-identical CSV files provided
+BLAS runs single-threaded (e.g. ``OPENBLAS_NUM_THREADS=1``): threaded BLAS
+may change the last printed digits.  Every run writes a ``manifest.json``
+recording the merged config, tool version, wall time, output files, and
+per-point diagnostics, including each point's wall time ``wall_s`` measured
+in the worker.  Exit code 0 means full success, 2 partial per-point
+failures, 1 a configuration error.  The env var ``DLMG_LOG``
+(debug/info/warning/error) selects log verbosity.
 """
 
 from __future__ import annotations
@@ -485,19 +488,30 @@ def cmd_qfunc(cli_cfg, model_cfg, outdir, jobs, gnuplot):
 # -- shared plumbing -----------------------------------------------------------
 
 
+def _timed(call):
+    """Run one point in the worker and record its wall time as ``wall_s``."""
+    worker, task = call
+    start = time.perf_counter()
+    result = worker(task)
+    result["wall_s"] = time.perf_counter() - start
+    return result
+
+
 def _run_pool(worker, tasks, jobs):
+    calls = [(worker, t) for t in tasks]
     if jobs <= 1 or len(tasks) <= 1:
-        results = [worker(t) for t in tasks]
+        results = [_timed(call) for call in calls]
     else:
         with Pool(processes=min(jobs, len(tasks))) as pool:
-            results = pool.map(worker, tasks)
+            results = pool.map(_timed, calls)
     return sorted(results, key=lambda r: r["index"])
 
 
 def _point_records(results, variable):
     records = []
     for r in results:
-        rec = {"index": r["index"], variable: float(r["value"]), "status": r["status"]}
+        rec = {"index": r["index"], variable: float(r["value"]), "status": r["status"],
+               "wall_s": round(r["wall_s"], 6)}
         if r.get("n_atoms"):
             rec["n_atoms"] = int(r["n_atoms"])
         if r["status"] != "ok":
@@ -565,7 +579,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
 
-    started = time.time()
+    started = time.perf_counter()
     try:
         cfg = _merged_config(args)
         preset_cmd = cfg.pop("command", None)
@@ -593,7 +607,7 @@ def main(argv=None) -> int:
         "preset": args.preset,
         "version": __version__,
         "config": {**model_cfg, **cli_cfg},
-        "wall_time_s": round(time.time() - started, 3),
+        "wall_time_s": round(time.perf_counter() - started, 6),
         "outputs": [f.name for f in files],
         "points": points,
         "failures": failures,

@@ -280,8 +280,9 @@ def evolve(
     precision, so there is no tolerance to choose.  ``states`` is a
     ``(len(times), d, d)`` array.  ``observables`` maps names to operators
     whose real expectation values are evaluated on all states in one
-    product.  Set ``keep_states=False`` to drop the density matrices when
-    only expectation values are needed.
+    product.  ``keep_states=False`` stores only the reachable coordinates of
+    each state, which the observables are evaluated on, and returns no
+    states.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -294,21 +295,23 @@ def evolve(
         raise ValueError("initial state dimension mismatch")
 
     idx, lv_r = _reachable_block(liouvillian_matrix(spec), rho0.reshape(-1))
-    states = np.zeros((len(times), d * d), dtype=np.complex128)
+    # Without kept states only the reachable coordinates are stored.
+    stack = np.zeros((len(times), d * d if keep_states else len(idx)), dtype=np.complex128)
+    cols, support = (idx, None) if keep_states else (slice(None), idx)
     vec, t_prev = rho0.reshape(-1)[idx], 0.0
     for k, t in enumerate(times):
         if t > t_prev:
             vec = spla.expm_multiply((t - t_prev) * lv_r, vec)
             t_prev = t
-        states[k, idx] = vec
-    states = states.reshape(len(times), d, d)
+        stack[k, cols] = vec
 
     expectations = {}
     if observables:
-        expectations = {name: v.real for name, v in expectation_values(observables, states).items()}
+        values = expectation_values(observables, stack, support)
+        expectations = {name: v.real for name, v in values.items()}
     return TrajectoryResult(
         times=times,
-        states=states if keep_states else None,
+        states=stack.reshape(len(times), d, d) if keep_states else None,
         expectations=expectations,
     )
 

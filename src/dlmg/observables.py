@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import lgamma
 
 import numpy as np
+from scipy.special import gammaln
 
 from .hp import MomentState
 from .operators import DickeAlgebra, expectation, expectation_values
@@ -202,50 +202,11 @@ def hp_entanglement(s: MomentState, n_phi: int = 720) -> EntanglementResult:
     return EntanglementResult(phi_grid=phis, c_phi=curve, c_r=c_r, phi_star=phi_star)
 
 
-def hp_c_phi_mimic(
-    s: MomentState,
-    angles,
-    n_atoms: int,
-    phi,
-) -> np.ndarray:
-    """Finite-N C_phi surface from the HP state, mimic-mixture mode.
-
-    Approximation, off by default in sweep drivers: the broken-phase HP state
-    describes fluctuations around a single symmetry-broken amplitude; to mimic
-    the equal incoherent mixture of the two amplitudes the quadrature mean is
-    zeroed by hand after rotating back to the lab frame, leaving the displaced
-    mean to penalize C_phi through the (4/N^2)<J_phi>^2 term only.
-    """
-    phi = np.asarray(phi, dtype=float)
-    theta, az = angles.theta, angles.phi
-    ct, st = np.cos(theta), np.sin(theta)
-    sp_, cp_ = np.sin(az), np.cos(az)
-    # Lab-frame axes in terms of the rotated frame: row vectors of the
-    # rotation matrix taking rotated components to lab components.
-    u1x = ct + (1.0 - ct) * sp_**2
-    u2x = -(1.0 - ct) * sp_ * cp_
-    u3x = st * cp_
-    u1y = -(1.0 - ct) * sp_ * cp_
-    u2y = ct + (1.0 - ct) * cp_**2
-    u3y = st * sp_
-
-    out = np.empty_like(phi)
-    for i, p in np.ndenumerate(phi):
-        sphi, cphi = np.sin(p), np.cos(p)
-        a = sphi * u1x + cphi * u1y
-        b = sphi * u2x + cphi * u2y
-        g = sphi * u3x + cphi * u3y
-        q = a - 1j * b  # J_phi fluctuation ~ (sqrt(N)/2)(q c + q* c+)
-        chi2 = (q**2 * s.m).real * 2.0 + abs(q) ** 2 * (2.0 * s.n + 1.0)
-        out[i] = 1.0 - chi2 - n_atoms * g**2
-    return out
-
-
 # -- spin Q-function -----------------------------------------------------------
 
 
-def _coherent_state(n: int, theta: float, phi: float) -> np.ndarray:
-    """Spin coherent state amplitudes in the m-descending Dicke basis.
+def _coherent_magnitudes(n: int, thetas: np.ndarray) -> np.ndarray:
+    """|<j, j - k | theta, phi>| for every theta (rows) and k = 0..N (columns).
 
     theta = 0 points at the all-up state.  With k = j - m the number of spin
     flips off the top, the component on |j, m> is
@@ -253,40 +214,50 @@ def _coherent_state(n: int, theta: float, phi: float) -> np.ndarray:
         sqrt(binom(N, k)) cos(theta/2)^(N-k) sin(theta/2)^k e^{i k phi},
 
     evaluated via log-gamma so N ~ 100 cannot overflow.  Basis index i has
-    m = j - i, i.e. k = i directly.
+    m = j - i, i.e. k = i directly.  The phase e^{i k phi} is left out.
     """
     k = np.arange(n + 1)  # flips off the all-up state; equals the basis index
-    half = 0.5 * theta
-    with np.errstate(divide="ignore"):
+    half = 0.5 * np.asarray(thetas, dtype=float)[:, None]
+    log_binom = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
         log_c = np.log(np.abs(np.cos(half)))
         log_s = np.log(np.abs(np.sin(half)))
-    log_binom = np.array(
-        [lgamma(n + 1) - lgamma(kk + 1) - lgamma(n - kk + 1) for kk in k]
-    )
-    # Zero exponents must not multiply -inf logs at the poles theta = 0, pi.
-    with np.errstate(invalid="ignore"):
+        # Zero exponents must not multiply -inf logs at the poles theta = 0, pi.
         cos_part = np.where(k == n, 0.0, (n - k) * log_c)
         sin_part = np.where(k == 0, 0.0, k * log_s)
-    amps = np.exp(0.5 * log_binom + cos_part + sin_part) * np.exp(1j * k * phi)
-    amps[np.isnan(amps)] = 0.0
+    mags = np.exp(0.5 * log_binom + cos_part + sin_part)
+    mags[np.isnan(mags)] = 0.0
     # cos/sin are nonnegative for theta in [0, pi], so no sign bookkeeping.
-    return amps.astype(np.complex128)
+    return mags
+
+
+def _coherent_state(n: int, theta: float, phi: float) -> np.ndarray:
+    """Spin coherent state |theta, phi> in the m-descending Dicke basis."""
+    return _coherent_magnitudes(n, [theta])[0] * np.exp(1j * np.arange(n + 1) * phi)
 
 
 def spin_qfunction(
     rho: np.ndarray, algebra: DickeAlgebra, thetas, phis
 ) -> QFunctionGrid:
-    """Husimi-style overlap <theta,phi| rho |theta,phi> on the given angle grids."""
+    """Husimi-style overlap <theta,phi| rho |theta,phi> on the given angle grids.
+
+    The magnitudes are built once for all theta and the phases e^{i k phi}
+    once for all phi; each theta row is then one product over the phi grid,
+    Q = Re sum_i conj(V)_pi (V rho^T)_pi with V = magnitudes * phases, so
+    the transient memory is one (n_phi, N+1) block.  Any grids work,
+    including non-uniform ones and the poles.
+    """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     if thetas.size == 0 or phis.size == 0:
         raise ValueError("angle grids must be nonempty")
     n = algebra.n_spins
+    phases = np.exp(1j * np.outer(phis, np.arange(n + 1)))
+    rho_t = np.asarray(rho).T
     values = np.empty((len(thetas), len(phis)))
-    for i, th in enumerate(thetas):
-        for j, ph in enumerate(phis):
-            vec = _coherent_state(n, th, ph)
-            values[i, j] = float(np.real(vec.conj() @ rho @ vec))
+    for i, mags in enumerate(_coherent_magnitudes(n, thetas)):
+        vecs = mags * phases
+        values[i] = np.sum(vecs.conj() * (vecs @ rho_t), axis=1).real
     return QFunctionGrid(thetas=thetas, phis=phis, values=values)
 
 

@@ -206,19 +206,22 @@ def expectation(op, rho: np.ndarray) -> complex:
     return complex(np.sum(mat * rho.T))
 
 
-def expectation_values(ops: dict, states: np.ndarray) -> dict:
-    """Trace(op @ rho) of each named operator on every state of a (T, d, d) stack.
+def expectation_values(ops: dict, states: np.ndarray, support=None) -> dict:
+    """Trace(op @ rho) of each named operator on every state of a stack.
 
     One linear map over the stacked states: row-major vec(rho) dotted with
-    vec(op^T), for all operators at once.  Returns complex arrays of length T.
+    vec(op^T), for all operators at once.  ``states`` is a (T, d, d) stack,
+    or with ``support`` a (T, len(support)) stack holding only the vec
+    coordinates ``support`` of each state (the others being zero).  Returns
+    complex arrays of length T.
     """
+    mats = [op.data if isinstance(op, Operator) else op for op in ops.values()]
+    d = mats[0].shape[0]
+    rows = sp.vstack([sp.csr_matrix(mat.T).reshape(1, d * d) for mat in mats]).tocsr()
+    if support is not None:
+        rows = rows[:, support]
     states = np.asarray(states)
-    d = states.shape[-1]
-    rows = sp.vstack([
-        sp.csr_matrix((op.data if isinstance(op, Operator) else op).T).reshape(1, d * d)
-        for op in ops.values()
-    ]).tocsr()
-    values = rows @ states.reshape(-1, d * d).T
+    values = rows @ states.reshape(len(states), -1).T
     return dict(zip(ops, values))
 
 

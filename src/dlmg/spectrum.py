@@ -218,32 +218,36 @@ def transmission(
         if np.max(mu.real) > 0:
             raise ValueError("first-moment spectrum unstable; no stationary response")
 
-    m = drift_matrix(sys)
     kb = sys.cavity.kappa_b
-    amp_drive = np.sqrt(2.0 * kb) * drive
+    rhs = np.zeros(6, dtype=complex)
+    rhs[2] = np.sqrt(2.0 * kb) * drive
     # Empty-cavity peak amplitude (at nu = delta_b): sqrt(2 kb) * sqrt(2 kb) E / kb.
     norm = abs(2.0 * drive) ** 2
 
-    t_p = np.empty_like(nu_grid)
-    diverged = np.zeros(nu_grid.shape, dtype=bool)
-    rhs = np.zeros(6, dtype=complex)
-    for i, nu in enumerate(nu_grid):
-        mat = -1j * nu * np.eye(6) - m
-        rhs[:] = 0.0
-        rhs[2] = amp_drive
-        try:
-            cond = np.linalg.cond(mat)
-            if not np.isfinite(cond) or cond > DIVERGENT_COND:
-                diverged[i] = True
-                sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-            else:
-                sol = np.linalg.solve(mat, rhs)
-        except np.linalg.LinAlgError:
-            diverged[i] = True
-            sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-        amp = np.sqrt(2.0 * kb) * sol[2]
-        t_p[i] = abs(amp) ** 2 / norm
+    mats = -1j * nu_grid[:, None, None] * np.eye(6) - drift_matrix(sys)
+    try:
+        cond = np.linalg.cond(mats)
+        diverged = ~np.isfinite(cond) | (cond > DIVERGENT_COND)
+        sols = np.empty((len(nu_grid), 6), dtype=complex)
+        sols[~diverged] = np.linalg.solve(mats[~diverged], rhs)
+        for i in np.flatnonzero(diverged):
+            sols[i] = np.linalg.lstsq(mats[i], rhs, rcond=None)[0]
+    except np.linalg.LinAlgError:
+        # LAPACK gave up on some point; classify the points one by one.
+        sols, diverged = map(np.array, zip(*(_solve_point(mat, rhs) for mat in mats)))
+    t_p = np.abs(np.sqrt(2.0 * kb) * sols[:, 2]) ** 2 / norm
     return SpectrumResult(nu=nu_grid, t_p=t_p, diverged=diverged)
+
+
+def _solve_point(mat: np.ndarray, rhs: np.ndarray):
+    """(response, diverged) at one nu: a solve if well conditioned, else least squares."""
+    try:
+        cond = np.linalg.cond(mat)
+        if np.isfinite(cond) and cond <= DIVERGENT_COND:
+            return np.linalg.solve(mat, rhs), False
+    except np.linalg.LinAlgError:
+        pass
+    return np.linalg.lstsq(mat, rhs, rcond=None)[0], True
 
 
 def transmission_approx(params: LMGParams, nu_grid=None) -> SpectrumResult:

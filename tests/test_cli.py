@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from dlmg import cli
 from dlmg.presets import PRESETS
@@ -39,6 +40,30 @@ def test_exit_code_zero_and_outputs(tmp_path):
         assert (out / name).exists()
     assert len(manifest["points"]) == 4
     assert all(p["status"] == "ok" for p in manifest["points"])
+
+
+TINY_MODEL = {"n_atoms": "6", "h": "1.0", "gamma_a": "0.01", "gamma_b": "0.2",
+              "sweep.variable": "lambda"}
+TINY_RUNS = {
+    "steady": FAST_STEADY,
+    "dynamics": {**TINY_MODEL, "sweep.start": "0.5", "sweep.stop": "1.5", "sweep.points": "3",
+                 "dynamics.t_end": "2.0", "dynamics.t_points": "5"},
+    "spectrum": {"h": "1.0", "sweep.variable": "lambda", "spectrum.values": "0.3,0.6,1.2",
+                 "spectrum.nu_points": "51"},
+    "qfunc": {**TINY_MODEL, "qfunc.values": "0.5,1.5", "qfunc.n_theta": "9", "qfunc.n_phi": "8"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(TINY_RUNS))
+def test_manifest_records_point_wall_times(tmp_path, command):
+    cfg = write_config(tmp_path, TINY_RUNS[command])
+    out = tmp_path / command
+    rc = cli.main([command, "--config", str(cfg), "--jobs", "1", "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    times = [p["wall_s"] for p in manifest["points"]]
+    assert len(times) >= 2 and all(t > 0.0 for t in times)
+    assert sum(times) <= manifest["wall_time_s"]
 
 
 def test_exit_code_one_on_unknown_key(tmp_path, capsys):

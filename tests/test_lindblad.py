@@ -1,5 +1,7 @@
 """Lindblad engine vs independent dense oracles, plus trajectory invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -303,6 +305,28 @@ def test_evolve_reachable_block_sizes():
     spec = build_isotropic(params, build_algebra(n))
     idx, _ = lindblad._reachable_block(liouvillian_matrix(spec), dicke_state(n, 1.0).reshape(-1))
     assert np.array_equal(idx, np.arange(d) * (d + 1))
+
+
+def test_evolve_without_states_stores_only_the_reachable_block():
+    # N=100 from all-up: the even-parity block is 5101 of 10201 coordinates,
+    # so dropping the states must about halve the peak memory while the
+    # observables stay the same.
+    n = 100
+    alg = build_algebra(n)
+    spec = gamma0_spec(n, h=1.0, lam=1.3, gamma_a=0.01, gamma_b=0.2)
+    ops = {"jz": alg.jz, "jx2": alg.jx @ alg.jx, "jp2": alg.jplus @ alg.jplus}
+    times = np.linspace(0.0, 2.0, 101)
+    peaks, results = [], []
+    for keep in (True, False):
+        tracemalloc.start()
+        results.append(evolve(spec, all_up_state(n), times, observables=ops, keep_states=keep))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    kept, dropped = results
+    assert dropped.states is None and kept.states.shape == (101, n + 1, n + 1)
+    assert peaks[1] <= 0.6 * peaks[0]
+    for name in ops:
+        assert np.max(np.abs(dropped.expectations[name] - kept.expectations[name])) <= 1e-15
 
 
 def test_evolve_odd_coherences_match_full_space_propagator():

@@ -7,10 +7,10 @@ from dlmg.hp import MomentState, hp_coefficients, moment_steady_state
 from dlmg.lindblad import steady_state
 from dlmg.models import LMGParams, build_gamma0
 from dlmg.observables import (
+    _coherent_state,
     c_phi,
     entanglement_curve,
     hp_c_phi,
-    hp_c_phi_mimic,
     hp_entanglement,
     qfunction_norm,
     rescaled_concurrence,
@@ -23,7 +23,6 @@ from dlmg.semiclassical import (
     fixed_points,
     lambda_critical,
 )
-from dlmg.hp import rotation_angles
 
 S2 = 1.0 / np.sqrt(2.0)
 # Triplet-sector embedding into the two-qubit product basis (uu, ud, du, dd).
@@ -276,28 +275,6 @@ def test_hp_matches_finite_n_broken_phase():
         assert abs(cr_fn - cr_hp) <= 0.05
 
 
-def test_hp_mimic_mode_reduces_to_plain_witness_in_normal_phase():
-    s = MomentState(n=0.4, m=0.3 - 0.1j)
-    phis = np.linspace(0, np.pi, 13)
-    p = LMGParams(n_atoms=100, h=1.0, lam=0.5, Gamma_a=0.01, Gamma_b=0.2)
-    fp = {f.branch: f for f in fixed_points(p)}[NORMAL]
-    mimic = hp_c_phi_mimic(s, rotation_angles(fp), 100, phis)
-    assert np.allclose(mimic, hp_c_phi(s, phis), atol=1e-12)
-
-
-def test_hp_mimic_mode_penalizes_lobe_axis():
-    # Broken phase: angles along the lobe axis acquire the -N g^2 penalty.
-    p = LMGParams(n_atoms=100, h=1.0, lam=1.5, Gamma_a=0.01, Gamma_b=0.2)
-    fp = {f.branch: f for f in fixed_points(p)}[BROKEN_PLUS]
-    ss = moment_steady_state(hp_coefficients(p, fp))
-    ang = rotation_angles(fp)
-    phis = np.linspace(0, np.pi, 721)
-    mimic = hp_c_phi_mimic(ss, ang, 100, phis)
-    assert mimic.min() < -5.0
-    width = np.mean(mimic > 0.0) * np.pi
-    assert 0.0 < width < 0.5
-
-
 # -- Q-function -----------------------------------------------------------------------
 
 
@@ -376,3 +353,44 @@ def test_qfunction_rejects_empty_grid():
     alg = build_algebra(3)
     with pytest.raises(ValueError):
         spin_qfunction(all_up_state(3), alg, [], [0.0])
+
+
+def random_density_matrix(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("n", [1, 12, 50, 150])
+def test_qfunction_matches_per_point_overlaps(n):
+    # Oracle: <theta,phi| rho |theta,phi> point by point, on a full random
+    # state (every coherence offset populated), over a uniform theta grid
+    # with both poles, Gauss-Legendre theta nodes, and an unsorted phi grid.
+    rho = random_density_matrix(n, seed=n)
+    alg = build_algebra(n)
+    rng = np.random.default_rng(100 + n)
+    phis = rng.uniform(-np.pi, 3 * np.pi, 17)
+    nodes, _ = np.polynomial.legendre.leggauss(9)
+    for thetas in (np.linspace(0.0, np.pi, 11), np.arccos(nodes)[::-1]):
+        grid = spin_qfunction(rho, alg, thetas, phis)
+        ref = np.array([
+            [(_coherent_state(n, th, ph).conj() @ rho @ _coherent_state(n, th, ph)).real
+             for ph in phis]
+            for th in thetas
+        ])
+        assert grid.values.shape == (len(thetas), len(phis))
+        assert np.max(np.abs(grid.values - ref)) <= 1e-13
+
+
+def test_coherent_state_is_top_eigenstate_along_its_axis():
+    # Independent of the amplitude formula: |theta,phi> is the unit vector
+    # with (n . J)|theta,phi> = j|theta,phi>, n = (sin t cos p, sin t sin p, cos t).
+    n = 12
+    alg = build_algebra(n)
+    jx, jy, jz = alg.jx.dense(), alg.jy.dense(), alg.jz.dense()
+    for th, ph in ((0.0, 1.0), (0.7, 0.3), (2.0, -1.1), (np.pi, 0.4)):
+        psi = _coherent_state(n, th, ph)
+        axis = np.sin(th) * np.cos(ph) * jx + np.sin(th) * np.sin(ph) * jy + np.cos(th) * jz
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-14)
+        assert np.max(np.abs(axis @ psi - 0.5 * n * psi)) <= 1e-13

@@ -7,9 +7,11 @@ from dlmg.hp import PHASE_BROKEN, RotationAngles, eigenvalues, rotation_angles
 from dlmg.models import LMGParams
 from dlmg.semiclassical import h_critical, selected_branch
 from dlmg.spectrum import (
+    DIVERGENT_COND,
     CavityParams,
     count_peaks,
     default_nu_grid,
+    drift_matrix,
     fig_cavity,
     lambda_a_for_coupling,
     lambda_b_for_rate,
@@ -216,3 +218,73 @@ def test_transmission_independent_of_drive_amplitude():
 def test_cavity_params_validation():
     with pytest.raises(ValueError):
         CavityParams(kappa_a=0.0, kappa_b=1.0, delta_a=1.0, delta_b=0.0, lambda_a=1.0, lambda_b=1.0)
+
+
+def per_point_transmission(sysm, nu, threshold=DIVERGENT_COND):
+    """Oracle: one cond / solve (or lstsq when ill conditioned) per nu."""
+    m = drift_matrix(sysm)
+    kb = sysm.cavity.kappa_b
+    rhs = np.zeros(6, dtype=complex)
+    rhs[2] = np.sqrt(2.0 * kb)
+    t_p, diverged = np.empty(len(nu)), np.zeros(len(nu), dtype=bool)
+    for i, v in enumerate(nu):
+        mat = -1j * v * np.eye(6) - m
+        cond = np.linalg.cond(mat)
+        if np.isfinite(cond) and cond <= threshold:
+            sol = np.linalg.solve(mat, rhs)
+        else:
+            diverged[i] = True
+            sol = np.linalg.lstsq(mat, rhs, rcond=None)[0]
+        t_p[i] = abs(np.sqrt(2.0 * kb) * sol[2]) ** 2 / 4.0
+    return t_p, diverged
+
+
+@pytest.mark.parametrize("lam", [0.6, 1.000625])
+def test_transmission_matches_per_point_solves(lam):
+    params, cavity = fig_cavity(lam=lam)
+    sysm = linear_system(params, cavity, rotation_angles(selected_branch(params)))
+    nu = default_nu_grid(-3, 3, 3001)
+    res = transmission(sysm, None, nu)
+    t_p, diverged = per_point_transmission(sysm, nu)
+    assert np.array_equal(res.diverged, diverged)
+    assert diverged.any() == (lam == 1.000625)
+    assert np.allclose(res.t_p, t_p, rtol=1e-12, atol=0.0)
+
+
+def test_transmission_flags_exactly_the_points_above_the_threshold(monkeypatch):
+    # With the threshold at the median condition number, half the grid takes
+    # the least-squares branch; both branches must match the per-point rule.
+    from dlmg import spectrum
+
+    params, cavity = fig_cavity(lam=0.6)
+    sysm = linear_system(params, cavity, rotation_angles(selected_branch(params)))
+    nu = default_nu_grid(-3, 3, 301)
+    m = drift_matrix(sysm)
+    threshold = float(np.median([np.linalg.cond(-1j * v * np.eye(6) - m) for v in nu]))
+    monkeypatch.setattr(spectrum, "DIVERGENT_COND", threshold)
+    res = transmission(sysm, None, nu)
+    t_p, diverged = per_point_transmission(sysm, nu, threshold)
+    assert 0 < diverged.sum() < len(nu)
+    assert np.array_equal(res.diverged, diverged)
+    assert np.allclose(res.t_p, t_p, rtol=1e-12, atol=0.0)
+
+
+def test_transmission_per_point_fallback_on_lapack_failure(monkeypatch):
+    # A LAPACK failure in the batched condition numbers reroutes every point
+    # through the per-point path, with the same classification.
+    params, cavity = fig_cavity(lam=1.000625)
+    sysm = linear_system(params, cavity, rotation_angles(selected_branch(params)))
+    nu = default_nu_grid(-3, 3, 301)
+    batched = transmission(sysm, None, nu)
+    real_cond = np.linalg.cond
+
+    def cond(mat, *args):
+        if np.ndim(mat) > 2:
+            raise np.linalg.LinAlgError("forced")
+        return real_cond(mat, *args)
+
+    monkeypatch.setattr(np.linalg, "cond", cond)
+    fallback = transmission(sysm, None, nu)
+    assert np.array_equal(fallback.diverged, batched.diverged)
+    assert fallback.diverged.any()
+    assert np.allclose(fallback.t_p, batched.t_p, rtol=1e-12, atol=0.0)
