@@ -6,19 +6,24 @@
 Configuration is a flat ``key = value`` file; a preset supplies a base block
 that the config file overrides key by key.  Sweep points are independent
 solves dispatched to a worker pool; results are collected and written in
-point order, so identical configs produce byte-identical CSV files provided
-BLAS runs single-threaded (e.g. ``OPENBLAS_NUM_THREADS=1``): threaded BLAS
-may change the last printed digits.  Every run writes a ``manifest.json``
-recording the merged config, tool version, wall time, output files, and
-per-point diagnostics, including each point's wall time ``wall_s`` measured
-in the worker.  Exit code 0 means full success, 2 partial per-point
-failures, 1 a configuration error.  The env var ``DLMG_LOG``
-(debug/info/warning/error) selects log verbosity.
+point order.  The OpenBLAS copies bundled with numpy and scipy are set to one
+thread in the main process and in every worker (threaded BLAS gains nothing
+at these sizes, oversubscribes the cores of a pool and may change the last
+printed digits), so identical configs produce byte-identical CSV files at
+any ``--jobs``.  Every run writes a ``manifest.json`` recording the merged
+config, tool version, ``jobs``, the thread count each BLAS library reports
+(``blas_threads``), wall time, output files, and per-point diagnostics,
+including each point's wall time ``wall_s`` measured in the worker.  Exit
+code 0 means full success, 2 partial per-point failures, 1 a configuration
+error.  The env var ``DLMG_LOG`` (debug/info/warning/error) selects log
+verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import dataclasses
 import json
 import logging
 import os
@@ -28,6 +33,7 @@ from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .lindblad import evolve, steady_state
@@ -50,7 +56,7 @@ from .spectrum import fig_cavity, linear_system, transmission
 logger = logging.getLogger("dlmg")
 
 _CLI_PREFIXES = ("sweep.", "dynamics.", "spectrum.", "qfunc.")
-_CLI_PLAIN = {"command", "outputs", "seed"}
+_CLI_PLAIN = {"command", "outputs"}
 
 SINGULAR_OFFSET = 1e-6
 
@@ -127,8 +133,8 @@ def _hp_steady(params: LMGParams, fp, offset: float = SINGULAR_OFFSET):
     Singular points get a small coupling offset, with the branch re-selected
     at the shifted coupling.
     """
-    trials = ((params, fp), (_offset_params(params, +offset), None),
-              (_offset_params(params, -offset), None))
+    trials = ((params, fp), (dataclasses.replace(params, lam=params.lam + offset), None),
+              (dataclasses.replace(params, lam=params.lam - offset), None))
     for trial, branch in trials:
         try:
             if branch is None:
@@ -137,17 +143,6 @@ def _hp_steady(params: LMGParams, fp, offset: float = SINGULAR_OFFSET):
         except (NoStableGaussianState, ValueError):
             continue
     raise PointFailure("no stable Gaussian steady state near this point")
-
-
-def _offset_params(params: LMGParams, eps: float) -> LMGParams:
-    return LMGParams(
-        n_atoms=params.n_atoms,
-        h=params.h,
-        lam=params.lam + eps,
-        gamma_anisotropy=params.gamma_anisotropy,
-        Gamma_a=params.Gamma_a,
-        Gamma_b=params.Gamma_b,
-    )
 
 
 # -- steady ------------------------------------------------------------------
@@ -314,7 +309,8 @@ def _dynamics_point(task):
 
 def _hp_dynamics_curve(params: LMGParams, times, offset: float = SINGULAR_OFFSET) -> list:
     """C_R^HP(t) from vacuum initial moments about the selected branch."""
-    for trial in (params, _offset_params(params, offset), _offset_params(params, -offset)):
+    for trial in (params, dataclasses.replace(params, lam=params.lam + offset),
+                  dataclasses.replace(params, lam=params.lam - offset)):
         try:
             fp = selected_branch(trial)
             coeffs = hp_coefficients(trial, fp)
@@ -488,6 +484,35 @@ def cmd_qfunc(cli_cfg, model_cfg, outdir, jobs, gnuplot):
 # -- shared plumbing -----------------------------------------------------------
 
 
+# The OpenBLAS copy each package bundles: (package, library glob, symbol suffix).
+_BLAS_LIBS = (
+    (np, "libscipy_openblas64_*.so", "64_"),
+    (scipy, "libscipy_openblas*.so", ""),
+)
+
+
+def _pin_blas() -> dict:
+    """Set the OpenBLAS copies bundled with numpy and scipy to one thread each.
+
+    Runs at the start of :func:`main` and in every pool worker, never at
+    import, so programs that import dlmg keep their own settings.  Returns
+    the thread count each library reports afterwards (None where a library or
+    its symbols are missing; that is logged and nothing is changed).
+    """
+    threads = {}
+    for package, pattern, suffix in _BLAS_LIBS:
+        name = package.__name__
+        libdir = Path(package.__file__).parent.parent / f"{name}.libs"
+        threads[name] = None
+        try:
+            lib = ctypes.CDLL(str(sorted(libdir.glob(pattern))[0]))
+            lib[f"scipy_openblas_set_num_threads{suffix}"](1)
+            threads[name] = lib[f"scipy_openblas_get_num_threads{suffix}"]()
+        except (IndexError, OSError, AttributeError) as exc:
+            logger.info("cannot pin the BLAS threads of %s: %s", name, exc)
+    return threads
+
+
 def _timed(call):
     """Run one point in the worker and record its wall time as ``wall_s``."""
     worker, task = call
@@ -502,7 +527,7 @@ def _run_pool(worker, tasks, jobs):
     if jobs <= 1 or len(tasks) <= 1:
         results = [_timed(call) for call in calls]
     else:
-        with Pool(processes=min(jobs, len(tasks))) as pool:
+        with Pool(processes=min(jobs, len(tasks)), initializer=_pin_blas) as pool:
             results = pool.map(_timed, calls)
     return sorted(results, key=lambda r: r["index"])
 
@@ -578,6 +603,7 @@ def main(argv=None) -> int:
     level = os.environ.get("DLMG_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
+    blas_threads = _pin_blas()
 
     started = time.perf_counter()
     try:
@@ -606,6 +632,8 @@ def main(argv=None) -> int:
         "command": args.command,
         "preset": args.preset,
         "version": __version__,
+        "jobs": args.jobs,
+        "blas_threads": blas_threads,
         "config": {**model_cfg, **cli_cfg},
         "wall_time_s": round(time.perf_counter() - started, 6),
         "outputs": [f.name for f in files],

@@ -39,6 +39,7 @@ from .semiclassical import (
     BROKEN_PLUS,
     NORMAL,
     FixedPoint,
+    _lambda_big,
     lambda_critical,
 )
 
@@ -159,7 +160,7 @@ def eigenvalues(params: LMGParams, phase: str) -> EigenPair:
     if phase == PHASE_BROKEN:
         if lam < gb:
             raise ValueError("broken phase requires lam >= Gamma_b")
-        big = _lambda_big_checked(lam, gb)
+        big = _lambda_big(lam, gb)
         root = np.emath.sqrt(2.0 * (2.0 * h**2 + gb**2 - lam * big))
         base = -2.0 * gb * h / big
         return EigenPair(
@@ -168,10 +169,6 @@ def eigenvalues(params: LMGParams, phase: str) -> EigenPair:
             regime_validated=validated,
         )
     raise ValueError(f"phase must be 'normal' or 'broken', got {phase!r}")
-
-
-def _lambda_big_checked(lam: float, gb: float) -> float:
-    return lam + np.sqrt(lam**2 - gb**2)
 
 
 def first_moment_matrix(coeffs: HPCoefficients) -> np.ndarray:

@@ -13,15 +13,22 @@ Density matrices are plain complex ndarrays.  Vectorization is row-major
 (numpy C order), so vec(A X B) = (A kron B^T) vec(X).
 
 Steady states: the vectorized Liouvillian is singular with (generically) a
-one-dimensional kernel spanned by the steady state.  One diagonal row of the
-sparse Liouvillian is replaced by the trace row, the system is factorized by
-sparse LU at every dimension, and the solve finishes with one step of
-iterative refinement on the same factorization.  The refinement step keeps
-the relative accuracy of tiny populations (e.g. the far tail of the Dicke
-ladder), which the fill-reducing ordering of the factorization alone loses.
-Uniqueness is probed by re-solving with a different replaced row.  If the
+one-dimensional kernel spanned by the steady state.  The maximally mixed state
+relaxes to it without leaving the block of vec coordinates reachable from its
+support (see Dynamics below), so the solve works on that block only: the even
+parity half of rho for gamma = 0 and gamma = -1, the N + 1 populations for
+gamma = +1.  One diagonal row of the sliced Liouvillian is replaced by the
+trace row, the system is factorized by sparse LU, and the solve finishes with
+one step of iterative refinement on the same factorization.  The refinement
+step keeps the relative accuracy of tiny populations (e.g. the far tail of the
+Dicke ladder), which the fill-reducing ordering of the factorization alone
+loses.  The residual is checked on the full d x d state.  Uniqueness is
+probed by re-solving the block with a different replaced row and by
+factorizing the complement block C: nothing leaves the block, so in the
+ordering (block, complement) the Liouvillian is block upper-triangular, and
+if C is nonsingular the kernel is the block kernel padded with zeros.  If the
 direct solve fails to reach the residual tolerance, the maximally mixed state
-is relaxed over doubling horizons as a fallback.
+is relaxed on the block over doubling horizons as a fallback.
 
 Dynamics: the generator only couples vec coordinates along its sparsity
 pattern, so a state never leaves the coordinates reachable from the support
@@ -145,29 +152,38 @@ def _finalize_state(vec: np.ndarray, d: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def _solve_replaced_row(lv: sp.csr_matrix, d: int, row: int) -> np.ndarray:
-    """Solve L v = 0, tr v = 1 with the diagonal row ``row`` replaced by the trace row.
+def _solve_block(lv_r: sp.csr_matrix, trace: np.ndarray, row: int) -> np.ndarray:
+    """Solve L_R v = 0, tr v = 1 on a block with its diagonal row ``trace[row]`` replaced.
 
-    The diagonal rows of a Lindblad Liouvillian sum to zero (trace
-    preservation), so replacing one of them loses no information.  The
-    system is factorized once by sparse LU; one step of iterative refinement
-    on that factorization (one matvec, one triangular solve) restores the
-    relative accuracy of tiny populations.  Raises RuntimeError if the
-    factorization finds the matrix exactly singular.
+    ``trace`` holds the block positions of the diagonal entries of rho.  The
+    diagonal rows of a Lindblad Liouvillian sum to zero (trace preservation),
+    so replacing one of them loses no information.  The system is factorized
+    once by sparse LU; one step of iterative refinement on that factorization
+    (one matvec, one triangular solve) restores the relative accuracy of tiny
+    populations.  Raises RuntimeError if the factorization finds the matrix
+    exactly singular.
     """
-    replaced = row * (d + 1)
-    start, stop = lv.indptr[replaced], lv.indptr[replaced + 1]
-    indices = np.concatenate((lv.indices[:start], _trace_indices(d), lv.indices[stop:]))
-    data = np.concatenate((lv.data[:start], np.ones(d, dtype=lv.dtype), lv.data[stop:]))
-    indptr = lv.indptr.copy()
-    indptr[replaced + 1:] += d - (stop - start)
-    mat = sp.csr_matrix((data, indices, indptr), shape=lv.shape)
-    rhs = np.zeros(d * d, dtype=np.complex128)
+    replaced = trace[row]
+    start, stop = lv_r.indptr[replaced], lv_r.indptr[replaced + 1]
+    indices = np.concatenate((lv_r.indices[:start], trace, lv_r.indices[stop:]))
+    data = np.concatenate((lv_r.data[:start], np.ones(len(trace), dtype=lv_r.dtype),
+                           lv_r.data[stop:]))
+    indptr = lv_r.indptr.copy()
+    indptr[replaced + 1:] += len(trace) - (stop - start)
+    mat = sp.csr_matrix((data, indices, indptr), shape=lv_r.shape)
+    rhs = np.zeros(lv_r.shape[0], dtype=np.complex128)
     rhs[replaced] = 1.0
     lu = spla.splu(mat.tocsc())
     vec = lu.solve(rhs)
     vec += lu.solve(rhs - mat @ vec)
     return vec
+
+
+def _block_state(vec: np.ndarray, idx: np.ndarray, d: int) -> np.ndarray:
+    """The d x d state whose vec coordinates ``idx`` hold ``vec`` and the rest zero."""
+    full = np.zeros(d * d, dtype=np.complex128)
+    full[idx] = vec
+    return _finalize_state(full, d)
 
 
 def _residual(spec: LindbladSpec, rho: np.ndarray) -> float:
@@ -183,6 +199,12 @@ def steady_state(
 ) -> np.ndarray:
     """Steady state of the Lindblad generator, to max-abs residual ``tol``.
 
+    The solve runs on the block of vec coordinates reachable from the
+    maximally mixed state (see the module docstring); the state is scattered
+    back to d x d and its residual is checked there.  ``check_unique`` probes
+    a second replaced row inside the block and factorizes the complement
+    block, whose singularity would allow a second fixed point outside it.
+
     Raises :class:`SteadyStateError` if no solution reaches the tolerance and
     :class:`NonUniqueSteadyStateError` if the kernel appears degenerate.
     """
@@ -190,11 +212,13 @@ def steady_state(
         raise ValueError("steady_state requires at least one dissipator")
     d = spec.dim
     lv = liouvillian_matrix(spec)
+    idx, lv_r = _reachable_block(lv, maximally_mixed(d).reshape(-1))
+    trace = np.searchsorted(idx, _trace_indices(d))
 
     rho, res = None, np.inf
     for row in (0, d - 1):
         try:
-            candidate = _finalize_state(_solve_replaced_row(lv, d, row), d)
+            candidate = _block_state(_solve_block(lv_r, trace, row), idx, d)
         except RuntimeError:
             continue
         r = _residual(spec, candidate)
@@ -205,7 +229,7 @@ def steady_state(
 
     if res > tol:
         logger.info("direct steady-state residual %.3e > tol, falling back to relaxation", res)
-        rho, res = _steady_by_integration(spec, lv, tol, max_fallback_time)
+        rho, res = _steady_by_integration(spec, idx, lv_r, tol, max_fallback_time)
         if res > tol:
             raise SteadyStateError(
                 f"steady state did not converge: residual {res:.3e} > tol {tol:.1e}",
@@ -213,12 +237,11 @@ def steady_state(
             )
 
     if check_unique:
-        probe_row = d // 2
+        # An exactly singular re-solve means the trace constraint did not pin
+        # the block kernel down: more than one fixed point.
         try:
-            rho2 = _finalize_state(_solve_replaced_row(lv, d, probe_row), d)
+            rho2 = _block_state(_solve_block(lv_r, trace, d // 2), idx, d)
         except RuntimeError:
-            # An exactly singular re-solve means the trace constraint did not
-            # pin the kernel down: more than one fixed point.
             raise NonUniqueSteadyStateError(
                 "non-unique steady state: probe solve singular", residual=res
             ) from None
@@ -226,21 +249,26 @@ def steady_state(
             raise NonUniqueSteadyStateError(
                 "non-unique steady state: two fixed points found", residual=res
             )
-
+        # A singular complement block allows a fixed point outside the block.
+        comp = np.setdiff1d(np.arange(d * d), idx, assume_unique=True)
+        if len(comp):
+            try:
+                spla.splu(lv[comp][:, comp].tocsc())
+            except RuntimeError:
+                raise NonUniqueSteadyStateError(
+                    "non-unique steady state: complement block singular", residual=res
+                ) from None
     return rho
 
 
-def _steady_by_integration(spec, lv, tol, max_time):
-    """Relax the maximally mixed state until the residual drops below tol."""
+def _steady_by_integration(spec, idx, lv_r, tol, max_time):
+    """Relax the maximally mixed state on its reachable block until the residual drops below tol."""
     d = spec.dim
-    rho = np.eye(d, dtype=np.complex128) / d
-    idx, lv_r = _reachable_block(lv, rho.reshape(-1))
-    vec = np.zeros(d * d, dtype=np.complex128)
+    rho = maximally_mixed(d)
     t, horizon = 0.0, 10.0
     res = _residual(spec, rho)
     while t < max_time and res > tol:
-        vec[idx] = spla.expm_multiply(horizon * lv_r, rho.reshape(-1)[idx])
-        rho = _finalize_state(vec, d)
+        rho = _block_state(spla.expm_multiply(horizon * lv_r, rho.reshape(-1)[idx]), idx, d)
         t += horizon
         horizon *= 2.0
         res = _residual(spec, rho)

@@ -213,15 +213,19 @@ def expectation_values(ops: dict, states: np.ndarray, support=None) -> dict:
     vec(op^T), for all operators at once.  ``states`` is a (T, d, d) stack,
     or with ``support`` a (T, len(support)) stack holding only the vec
     coordinates ``support`` of each state (the others being zero).  Returns
-    complex arrays of length T.
+    complex arrays of length T.  Only the vec coordinates some operator
+    touches are read: they are gathered from the stack, and the few operator
+    rows are made dense on them, so BLAS reads the gathered block in place
+    and the stack itself is never copied.
     """
     mats = [op.data if isinstance(op, Operator) else op for op in ops.values()]
     d = mats[0].shape[0]
     rows = sp.vstack([sp.csr_matrix(mat.T).reshape(1, d * d) for mat in mats]).tocsr()
     if support is not None:
         rows = rows[:, support]
+    cols = np.unique(rows.indices)
     states = np.asarray(states)
-    values = rows @ states.reshape(len(states), -1).T
+    values = rows[:, cols].toarray() @ states.reshape(len(states), -1)[:, cols].T
     return dict(zip(ops, values))
 
 

@@ -1,6 +1,10 @@
 """CLI: config handling, determinism, manifest contract, exit codes, presets."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +118,27 @@ def test_byte_identical_reruns(tmp_path):
         outs.append((out / "steady_N6.csv").read_bytes())
     assert outs[0] == outs[1]
 
+
+
+def test_jobs_one_and_two_give_byte_identical_csv(tmp_path):
+    # Each run is a fresh interpreter with default (unset) BLAS threading, so
+    # the CLI's own pinning is what makes the two runs agree.
+    cfg = write_config(tmp_path, {**FAST_STEADY, "n_atoms": "30", "sweep.start": "0.6",
+                                  "outputs": "entanglement,eigenvalues"})
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    csvs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        subprocess.run([sys.executable, "-m", "dlmg.cli", "steady", "--config", str(cfg),
+                        "--jobs", jobs, "--out", str(out)], env=env, check=True)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["jobs"] == int(jobs)
+        assert manifest["blas_threads"] == {"numpy": 1, "scipy": 1}
+        csvs.append((out / "steady_N30.csv").read_bytes())
+    assert csvs[0].count(b"\n") > 4 and csvs[0] == csvs[1]
 
 def test_csv_header_carries_config(tmp_path):
     cfg = write_config(tmp_path, FAST_STEADY)

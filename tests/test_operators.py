@@ -1,10 +1,12 @@
 """Dicke-basis algebra: ladder structure, su(2) closure, expectation values."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dlmg.observables import _moment_operators
 from dlmg.operators import (
     Operator,
     all_up_state,
@@ -141,3 +143,22 @@ def test_expectation_values_match_per_state_expectation(n):
     for name, op in ops.items():
         expected = [expectation(op, rho) for rho in states]
         assert np.allclose(values[name], expected, rtol=1e-13, atol=1e-10)
+
+
+def test_expectation_values_read_the_stack_in_place():
+    # A 101-state N=100 stack is 16.5 MB; the product must not copy it.
+    n = 100
+    alg = build_algebra(n)
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(101, n + 1, n + 1)) + 1j * rng.normal(size=(101, n + 1, n + 1))
+    states = a @ a.conj().transpose(0, 2, 1)
+    states /= np.trace(states, axis1=1, axis2=2).real[:, None, None]
+    ops = _moment_operators(alg)
+    tracemalloc.start()
+    values = expectation_values(ops, states)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 0.25 * states.nbytes
+    for name, op in ops.items():
+        expected = np.array([expectation(op, rho) for rho in states])
+        assert np.max(np.abs(values[name] - expected) / np.maximum(1.0, np.abs(expected))) <= 1e-13
