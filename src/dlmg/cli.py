@@ -10,13 +10,14 @@ point order.  The OpenBLAS copies bundled with numpy and scipy are set to one
 thread in the main process and in every worker (threaded BLAS gains nothing
 at these sizes, oversubscribes the cores of a pool and may change the last
 printed digits), so identical configs produce byte-identical CSV files at
-any ``--jobs``.  Every run writes a ``manifest.json`` recording the merged
-config, tool version, ``jobs``, the thread count each BLAS library reports
-(``blas_threads``), wall time, output files, and per-point diagnostics,
-including each point's wall time ``wall_s`` measured in the worker.  Exit
-code 0 means full success, 2 partial per-point failures, 1 a configuration
-error.  The env var ``DLMG_LOG`` (debug/info/warning/error) selects log
-verbosity.
+any ``--jobs`` wherever both copies could be pinned (no null in the
+manifest's ``blas_threads``).  Every run writes a ``manifest.json``
+recording the merged config, tool version, ``jobs``, the thread count each
+BLAS library reports (``blas_threads``), wall time, output files, and
+per-point diagnostics, including each point's wall time ``wall_s`` measured
+in the worker.  Exit code 0 means full success, 2 partial per-point
+failures, 1 a configuration error.  The env var ``DLMG_LOG``
+(debug/info/warning/error) selects log verbosity.
 """
 
 from __future__ import annotations
@@ -491,13 +492,12 @@ _BLAS_LIBS = (
 )
 
 
-def _pin_blas() -> dict:
-    """Set the OpenBLAS copies bundled with numpy and scipy to one thread each.
+def _blas_threads(count: int | None = None) -> dict:
+    """Thread count of the OpenBLAS copies bundled with numpy and scipy.
 
-    Runs at the start of :func:`main` and in every pool worker, never at
-    import, so programs that import dlmg keep their own settings.  Returns
-    the thread count each library reports afterwards (None where a library or
-    its symbols are missing; that is logged and nothing is changed).
+    Sets each copy to ``count`` threads first if ``count`` is given.  A
+    library or symbol that cannot be found (older wheels ship OpenBLAS under
+    other names) is logged as a warning, left alone and reported as None.
     """
     threads = {}
     for package, pattern, suffix in _BLAS_LIBS:
@@ -506,11 +506,22 @@ def _pin_blas() -> dict:
         threads[name] = None
         try:
             lib = ctypes.CDLL(str(sorted(libdir.glob(pattern))[0]))
-            lib[f"scipy_openblas_set_num_threads{suffix}"](1)
+            if count is not None:
+                lib[f"scipy_openblas_set_num_threads{suffix}"](count)
             threads[name] = lib[f"scipy_openblas_get_num_threads{suffix}"]()
         except (IndexError, OSError, AttributeError) as exc:
-            logger.info("cannot pin the BLAS threads of %s: %s", name, exc)
+            logger.warning("cannot reach the BLAS threads of %s: %s", name, exc)
     return threads
+
+
+def _pin_blas() -> dict:
+    """Set the bundled OpenBLAS copies to one thread each; returns :func:`_blas_threads`.
+
+    Runs at the start of :func:`main` and in every pool worker, never at
+    import: importing dlmg leaves a program's BLAS settings alone, while a
+    program that calls :func:`main` in-process keeps the pin afterwards.
+    """
+    return _blas_threads(1)
 
 
 def _timed(call):

@@ -51,7 +51,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .operators import Operator, expectation_values
+from .operators import Operator, expectation_support, expectation_values
 
 logger = logging.getLogger(__name__)
 
@@ -308,9 +308,8 @@ def evolve(
     precision, so there is no tolerance to choose.  ``states`` is a
     ``(len(times), d, d)`` array.  ``observables`` maps names to operators
     whose real expectation values are evaluated on all states in one
-    product.  ``keep_states=False`` stores only the reachable coordinates of
-    each state, which the observables are evaluated on, and returns no
-    states.
+    product.  ``keep_states=False`` stores, of each state, only the reachable
+    coordinates the observables read, and returns no states.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -323,15 +322,19 @@ def evolve(
         raise ValueError("initial state dimension mismatch")
 
     idx, lv_r = _reachable_block(liouvillian_matrix(spec), rho0.reshape(-1))
-    # Without kept states only the reachable coordinates are stored.
-    stack = np.zeros((len(times), d * d if keep_states else len(idx)), dtype=np.complex128)
-    cols, support = (idx, None) if keep_states else (slice(None), idx)
+    if keep_states:
+        support, dst, src = None, idx, slice(None)
+    else:
+        # Without kept states only the reachable coordinates the observables read are stored.
+        support = np.intersect1d(idx, expectation_support(observables)) if observables else idx[:0]
+        dst, src = slice(None), np.searchsorted(idx, support)
+    stack = np.zeros((len(times), d * d if keep_states else len(support)), dtype=np.complex128)
     vec, t_prev = rho0.reshape(-1)[idx], 0.0
     for k, t in enumerate(times):
         if t > t_prev:
             vec = spla.expm_multiply((t - t_prev) * lv_r, vec)
             t_prev = t
-        stack[k, cols] = vec
+        stack[k, dst] = vec[src]
 
     expectations = {}
     if observables:

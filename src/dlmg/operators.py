@@ -206,6 +206,18 @@ def expectation(op, rho: np.ndarray) -> complex:
     return complex(np.sum(mat * rho.T))
 
 
+def _vec_rows(ops: dict) -> sp.csr_matrix:
+    """One sparse row vec(op^T) per operator, so that Tr(op @ rho) = vec(op^T) . vec(rho)."""
+    mats = [op.data if isinstance(op, Operator) else op for op in ops.values()]
+    d = mats[0].shape[0]
+    return sp.vstack([sp.csr_matrix(mat.T).reshape(1, d * d) for mat in mats]).tocsr()
+
+
+def expectation_support(ops: dict) -> np.ndarray:
+    """Sorted row-major vec coordinates of rho that Tr(op @ rho) reads for some op in ``ops``."""
+    return np.unique(_vec_rows(ops).indices)
+
+
 def expectation_values(ops: dict, states: np.ndarray, support=None) -> dict:
     """Trace(op @ rho) of each named operator on every state of a stack.
 
@@ -218,9 +230,7 @@ def expectation_values(ops: dict, states: np.ndarray, support=None) -> dict:
     rows are made dense on them, so BLAS reads the gathered block in place
     and the stack itself is never copied.
     """
-    mats = [op.data if isinstance(op, Operator) else op for op in ops.values()]
-    d = mats[0].shape[0]
-    rows = sp.vstack([sp.csr_matrix(mat.T).reshape(1, d * d) for mat in mats]).tocsr()
+    rows = _vec_rows(ops)
     if support is not None:
         rows = rows[:, support]
     cols = np.unique(rows.indices)

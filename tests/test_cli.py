@@ -119,7 +119,6 @@ def test_byte_identical_reruns(tmp_path):
     assert outs[0] == outs[1]
 
 
-
 def test_jobs_one_and_two_give_byte_identical_csv(tmp_path):
     # Each run is a fresh interpreter with default (unset) BLAS threading, so
     # the CLI's own pinning is what makes the two runs agree.
@@ -139,6 +138,25 @@ def test_jobs_one_and_two_give_byte_identical_csv(tmp_path):
         assert manifest["blas_threads"] == {"numpy": 1, "scipy": 1}
         csvs.append((out / "steady_N30.csv").read_bytes())
     assert csvs[0].count(b"\n") > 4 and csvs[0] == csvs[1]
+
+
+def _report_blas_threads(task):
+    return {"index": task, "threads": cli._blas_threads()}
+
+
+def test_pool_workers_run_single_threaded_blas():
+    # Give this process two BLAS threads so that a worker which inherits or
+    # defaults its setting, rather than running the pool initializer, shows.
+    before = cli._blas_threads()
+    if None in before.values():
+        pytest.skip("no bundled OpenBLAS found")
+    cli._blas_threads(2)
+    try:
+        results = cli._run_pool(_report_blas_threads, [0, 1], jobs=2)
+    finally:
+        cli._blas_threads(before["numpy"])
+    assert [r["threads"] for r in results] == [{"numpy": 1, "scipy": 1}] * 2
+
 
 def test_csv_header_carries_config(tmp_path):
     cfg = write_config(tmp_path, FAST_STEADY)
