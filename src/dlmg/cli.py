@@ -15,7 +15,8 @@ manifest's ``blas_threads``).  Every run writes a ``manifest.json``
 recording the merged config, tool version, ``jobs``, the thread count each
 BLAS library reports (``blas_threads``), wall time, output files, and
 per-point diagnostics, including each point's wall time ``wall_s`` measured
-in the worker.  Exit code 0 means full success, 2 partial per-point
+in the worker and, for dynamics, the propagated ``block_size`` and the
+``matvecs`` it took.  Exit code 0 means full success, 2 partial per-point
 failures, 1 a configuration error.  The env var ``DLMG_LOG``
 (debug/info/warning/error) selects log verbosity.
 """
@@ -276,7 +277,7 @@ def _dynamics_point(task):
     index, model_cfg, n_atoms, variable, value, outputs, times, m0, offset = task
     try:
         params = _point_params(model_cfg, n_atoms, variable, value)
-        rows = []
+        rows, record = [], {}
         hp_cr = None
         if "hp" in outputs:
             hp_cr = _hp_dynamics_curve(params, times, offset)
@@ -284,7 +285,9 @@ def _dynamics_point(task):
             algebra = build_algebra(params.n_atoms)
             spec = build_gamma0(params, algebra)
             rho0 = all_up_state(params.n_atoms) if m0 is None else dicke_state(params.n_atoms, m0)
-            moments = trajectory_moments(evolve(spec, rho0, times).states, algebra)
+            traj = evolve(spec, rho0, times)
+            record = {"block_size": traj.block_size, "matvecs": traj.matvecs}
+            moments = trajectory_moments(traj.states, algebra)
             j2 = (params.n_atoms / 2.0) ** 2
             for k, t in enumerate(times):
                 row = {"lambda": params.lam, "h": params.h, "t": t}
@@ -301,7 +304,7 @@ def _dynamics_point(task):
             for k, t in enumerate(times):
                 rows.append({"lambda": params.lam, "h": params.h, "t": t, "c_r_hp": hp_cr[k]})
         return {"index": index, "status": "ok", "value": value, "n_atoms": n_atoms,
-                "payload": {"rows": rows}}
+                "payload": {"rows": rows}, "record": record}
     except Exception as exc:
         return {"index": index, "status": "error", "value": value, "n_atoms": n_atoms,
                 "error": f"{type(exc).__name__}: {exc}",
@@ -394,7 +397,8 @@ def _spectrum_point(task):
         sysm = linear_system(params, cavity, rotation_angles(fp))
         result = transmission(sysm, None, nu)
         return {"index": index, "status": "ok", "value": value,
-                "n_atoms": 0, "payload": {"result": result, "diverged": int(result.diverged.sum())}}
+                "n_atoms": 0, "payload": {"result": result},
+                "record": {"diverged_points": int(result.diverged.sum())}}
     except Exception as exc:
         return {"index": index, "status": "error", "value": value, "n_atoms": 0,
                 "error": f"{type(exc).__name__}: {exc}", "residual": np.nan}
@@ -555,8 +559,8 @@ def _point_records(results, variable):
             residual = r.get("residual", np.nan)
             if residual is not None and np.isfinite(residual):
                 rec["residual"] = float(residual)
-        elif "diverged" in r.get("payload", {}):
-            rec["diverged_points"] = int(r["payload"]["diverged"])
+        else:
+            rec.update(r.get("record", {}))
         records.append(rec)
     return records
 

@@ -25,7 +25,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .hp import MomentState
 from .operators import DickeAlgebra, expectation, expectation_values
@@ -216,6 +215,8 @@ def _coherent_magnitudes(n: int, thetas: np.ndarray) -> np.ndarray:
     evaluated via log-gamma so N ~ 100 cannot overflow.  Basis index i has
     m = j - i, i.e. k = i directly.  The phase e^{i k phi} is left out.
     """
+    from scipy.special import gammaln
+
     k = np.arange(n + 1)  # flips off the all-up state; equals the basis index
     half = 0.5 * np.asarray(thetas, dtype=float)[:, None]
     log_binom = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)

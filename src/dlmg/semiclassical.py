@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .models import LMGParams
 
@@ -244,6 +243,8 @@ def integrate_bloch(
     state must lie on the unit sphere; norm drift stays within integration
     tolerance because the flow conserves the radius identically.
     """
+    from scipy.integrate import solve_ivp
+
     _require_gamma0(params)
     if abs(s0.norm() - 1.0) > 1e-9:
         raise ValueError(f"initial state must be normalized, |s0| = {s0.norm()}")

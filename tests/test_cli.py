@@ -140,6 +140,30 @@ def test_jobs_one_and_two_give_byte_identical_csv(tmp_path):
     assert csvs[0].count(b"\n") > 4 and csvs[0] == csvs[1]
 
 
+def test_import_leaves_unused_scipy_subpackages_unloaded():
+    # Each CLI command starts a fresh interpreter; these imports cost about
+    # 0.3 s and only library calls outside the CLI path need them.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    probe = ("import sys, dlmg.cli; print(','.join(m for m in ('scipy.integrate', "
+             "'scipy.optimize', 'scipy.special') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == ""
+
+
+def test_dynamics_manifest_records_block_size_and_matvecs(tmp_path):
+    # From all-up at N=4 the propagated block is the even-parity half of rho:
+    # 3^2 + 2^2 = 13 of the 25 coordinates.
+    cfg = write_config(tmp_path, {**TINY_RUNS["dynamics"], "n_atoms": "4"})
+    out = tmp_path / "dyn"
+    assert cli.main(["dynamics", "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 0
+    points = json.loads((out / "manifest.json").read_text())["points"]
+    assert len(points) == 3
+    assert all(p["block_size"] == 13 and p["matvecs"] > 0 for p in points)
+
+
 def _report_blas_threads(task):
     return {"index": task, "threads": cli._blas_threads()}
 

@@ -22,7 +22,7 @@ from dlmg.lindblad import (
     validate_density_matrix,
 )
 from dlmg.models import LMGParams, build_conventional, build_gamma0, build_isotropic
-from dlmg.observables import _coherent_state
+from dlmg.observables import _coherent_state, trajectory_moments
 from dlmg.operators import Operator, all_up_state, build_algebra, dicke_state, expectation
 
 
@@ -416,6 +416,54 @@ def test_evolve_odd_coherences_match_full_space_propagator():
                            num=9, endpoint=True)
     assert np.max(np.abs(traj.states.reshape(len(times), -1) - oracle)) <= 1e-12
     assert np.max(np.abs(traj.states[-1][0, 1])) > 1e-3
+
+
+def full_space_expm_states(spec, rho0, times):
+    """Oracle: dense expm of the full Liouvillian applied to rho0 at each time."""
+    lv = liouvillian_matrix(spec).toarray()
+    return np.array([(expm(lv * t) @ rho0.reshape(-1)).reshape(rho0.shape) for t in times])
+
+
+def test_evolve_non_uniform_grid_matches_dense_expm():
+    # Steps from 1e-3 to 5.5 each choose their own Taylor degree and substep
+    # count; the coherent start keeps the whole space.
+    n = 16
+    spec = gamma0_spec(n, h=1.0, lam=1.4, gamma_a=0.05, gamma_b=0.2)
+    psi = _coherent_state(n, np.pi / 3, 0.4)
+    rho0 = np.outer(psi, psi.conj())
+    times = np.array([0.0, 1e-3, 0.05, 0.3, 0.31, 1.7, 4.0, 9.5])
+    traj = evolve(spec, rho0, times)
+    assert traj.block_size == (n + 1) ** 2
+    assert np.max(np.abs(traj.states - full_space_expm_states(spec, rho0, times))) <= 1e-12
+
+
+def test_evolve_single_large_step_matches_dense_expm():
+    # dt ||A||_1 far above 63.4 (condition 3.13 of Al-Mohy & Higham), the
+    # region where the propagator takes more substeps than expm_multiply.
+    n, dt = 20, 20.0
+    spec = gamma0_spec(n, h=1.0, lam=1.4, gamma_a=0.05, gamma_b=0.2)
+    rho0 = all_up_state(n)
+    _, lv_r = lindblad._reachable_block(liouvillian_matrix(spec), rho0.reshape(-1))
+    assert dt * lindblad._Propagator(lv_r).norm > 10 * 63.4
+    traj = evolve(spec, rho0, [dt])
+    assert np.max(np.abs(traj.states - full_space_expm_states(spec, rho0, [dt]))) <= 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(
+    n=st.integers(2, 12),
+    h=st.floats(0.0, 2.0),
+    lam=st.floats(0.0, 2.0),
+    gamma_a=st.floats(0.0, 0.5),
+    gamma_b=st.floats(0.001, 0.5),
+    t_end=st.floats(0.1, 30.0),
+)
+def test_evolve_keeps_trace_hermiticity_and_cr_bound(n, h, lam, gamma_a, gamma_b, t_end):
+    spec = gamma0_spec(n, h, lam, gamma_a, gamma_b)
+    states = evolve(spec, all_up_state(n), np.linspace(0.0, t_end, 9)).states
+    assert np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)) <= 1e-12
+    assert np.max(np.abs(states - states.conj().transpose(0, 2, 1))) <= 1e-12
+    assert np.all(trajectory_moments(states, build_algebra(n))["c_r"] <= 1.0)
 
 
 def test_evolve_isotropic_from_dicke_state_stays_diagonal():
