@@ -1,24 +1,35 @@
 """Command-line driver: parameter sweeps, dynamics, spectra, Q-functions.
 
     dlmg steady|dynamics|spectrum|qfunc [--config FILE] [--preset figN]
-         [--jobs K] [--out DIR] [--gnuplot]
+         [--jobs K] [--out DIR]
 
 Configuration is a flat ``key = value`` file; a preset supplies a base block
-that the config file overrides key by key.  Sweep points are independent
-solves dispatched to a worker pool; results are collected and written in
-point order.  The OpenBLAS copies bundled with numpy and scipy are set to one
-thread in the main process and in every worker (threaded BLAS gains nothing
-at these sizes, oversubscribes the cores of a pool and may change the last
-printed digits), so identical configs produce byte-identical CSV files at
-any ``--jobs`` wherever both copies could be pinned (no null in the
-manifest's ``blas_threads``).  Every run writes a ``manifest.json``
-recording the merged config, tool version, ``jobs``, the thread count each
-BLAS library reports (``blas_threads``), wall time, output files, and
-per-point diagnostics, including each point's wall time ``wall_s`` measured
-in the worker and, for dynamics, the propagated ``block_size`` and the
-``matvecs`` it took.  Exit code 0 means full success, 2 partial per-point
-failures, 1 a configuration error.  The env var ``DLMG_LOG``
-(debug/info/warning/error) selects log verbosity.
+that the config file overrides key by key.  The merged config is checked and
+turned into a plan before any work or output: the point tasks, the output
+files and their columns, with every numeric key parsed.  A config is
+rejected there, with exit code 1 and ``config error``, for an unknown key
+(the ``sweep.*``, ``dynamics.*``, ``spectrum.*`` and ``qfunc.*`` keys are
+checked against the keys any command reads, so a preset runs under another
+command), an unknown name in ``outputs``, a ``sweep.variable`` other than
+``lambda`` or ``h``, a ``model`` other than ``gamma0`` (the CLI runs the
+gamma=0 model only) or a malformed value.
+
+Sweep points are independent solves dispatched to a worker pool; results are
+collected and written in point order.  The OpenBLAS copies bundled with
+numpy and scipy are set to one thread in the main process and in every
+worker (threaded BLAS gains nothing at these sizes, oversubscribes the cores
+of a pool and may change the last printed digits), so identical configs
+produce byte-identical CSV files at any ``--jobs`` wherever both copies could
+be pinned (no null in the manifest's ``blas_threads``).  Every run writes a
+``manifest.json`` recording the merged config, tool version, ``jobs``, the
+thread count each BLAS library reports (``blas_threads``), wall time, output
+files, and per-point diagnostics, including each point's wall time
+``wall_s`` measured in the worker and, for dynamics, the propagated
+``block_size`` and the ``matvecs`` it took.  A point that raises is recorded
+with its error and left out of the CSV files, and the run goes on.  Exit
+code 0 means full success, 2 that some points failed, 1 a configuration
+error or an output error (an ``OSError`` creating or writing ``--out``).  The
+env var ``DLMG_LOG`` (debug/info/warning/error) selects log verbosity.
 """
 
 from __future__ import annotations
@@ -57,8 +68,26 @@ from .spectrum import fig_cavity, linear_system, transmission
 
 logger = logging.getLogger("dlmg")
 
-_CLI_PREFIXES = ("sweep.", "dynamics.", "spectrum.", "qfunc.")
-_CLI_PLAIN = {"command", "outputs"}
+# Every CLI-namespace key some command reads.  Each command ignores the keys
+# of the others, so that a preset runs under another command.
+_CLI_KEYS = {
+    "command", "outputs",
+    "sweep.variable", "sweep.start", "sweep.stop", "sweep.points", "sweep.singular_offset",
+    "dynamics.t_end", "dynamics.t_points", "dynamics.initial_m",
+    "spectrum.values", "spectrum.nu_min", "spectrum.nu_max", "spectrum.nu_points",
+    "spectrum.gamma_b", "spectrum.kappa_a", "spectrum.delta_a", "spectrum.kappa_b",
+    "spectrum.delta_b",
+    "qfunc.values", "qfunc.n_theta", "qfunc.n_phi",
+}
+_OUTPUTS = {"moments", "entanglement", "cphi", "eigenvalues", "semiclassical", "hp"}
+_DEFAULT_OUTPUTS = {"steady": "moments,entanglement", "dynamics": "entanglement"}
+# Cavity keys passed to fig_cavity, whose keyword defaults apply when absent.
+_CAVITY_KEYS = ("gamma_b", "kappa_a", "delta_a", "kappa_b", "delta_b")
+
+_STEADY_COLUMNS = ["lambda", "h", "jx2", "jy2", "jz2", "sc_x", "sc_y", "sc_z", "sc_branch"]
+_ENTANGLEMENT_COLUMNS = ["c_r", "c_r_hp", "phi_star"]
+_EIGENVALUE_COLUMNS = ["phase", "re_mu_p", "im_mu_p", "re_mu_m", "im_mu_m",
+                       "n_ss", "re_m_ss", "im_m_ss"]
 
 SINGULAR_OFFSET = 1e-6
 
@@ -71,15 +100,25 @@ def _fmt(x) -> str:
     return f"{x:.15g}"
 
 
-def _split_config(cfg: dict):
-    """Separate CLI-namespace keys from the model block."""
-    cli_cfg, model_cfg = {}, {}
-    for key, value in cfg.items():
-        if key.startswith(_CLI_PREFIXES) or key in _CLI_PLAIN:
-            cli_cfg[key] = value
-        else:
-            model_cfg[key] = value
-    return cli_cfg, model_cfg
+# -- validation: config -> plan --------------------------------------------------
+
+
+@dataclasses.dataclass
+class _Plan:
+    """A command's points and output files, worked out before any of it runs.
+
+    ``point(task)`` returns ``{"rows": {kind: rows}}`` plus an optional
+    ``"record"`` of manifest fields, or raises.  Each entry of ``files`` is
+    ``(name, kind, extra header lines, columns, indices of its points)``: the
+    file takes the rows of ``kind`` from each of its points that succeeded.
+    """
+
+    variable: str
+    point: object
+    tasks: list
+    coords: list  # (sweep value, n_atoms or 0) of each task
+    files: list
+    config: dict = dataclasses.field(default_factory=dict)
 
 
 def _merged_config(args) -> dict:
@@ -89,11 +128,31 @@ def _merged_config(args) -> dict:
             raise ConfigError(f"unknown preset {args.preset!r}; available: {sorted(PRESETS)}")
         cfg.update(PRESETS[args.preset])
     if args.config:
-        text = Path(args.config).read_text()
+        try:
+            text = Path(args.config).read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read {args.config}: {exc}") from None
         cfg.update(parse_config_text(text))
     if not cfg:
         raise ConfigError("no configuration given: pass --config and/or --preset")
     return cfg
+
+
+def _split_config(cfg: dict):
+    """Separate CLI keys from the model block, whose check rejects every other key."""
+    cli_cfg, model_cfg = {}, {}
+    for key, value in cfg.items():
+        (cli_cfg if key in _CLI_KEYS else model_cfg)[key] = value
+    return cli_cfg, model_cfg
+
+
+def _number(cfg: dict, key: str, default=None, kind=float):
+    if key not in cfg:
+        return default
+    try:
+        return kind(cfg[key])
+    except ValueError:
+        raise ConfigError(f"bad value for {key}: {cfg[key]!r}") from None
 
 
 def _sweep_values(cli_cfg: dict) -> np.ndarray:
@@ -110,13 +169,24 @@ def _sweep_values(cli_cfg: dict) -> np.ndarray:
     return np.linspace(start, stop, points)
 
 
-def _value_list(raw: str) -> list:
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
+def _value_list(cli_cfg: dict, key: str) -> list:
+    if key not in cli_cfg:
+        raise ConfigError(f"{key.split('.')[0]} requires {key} (comma-separated)")
+    try:
+        values = [float(tok) for tok in cli_cfg[key].split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad value in {key}: {exc}") from None
+    if not values:
+        raise ConfigError(f"{key} lists no values")
+    return values
 
 
 def _n_atoms_list(model_cfg: dict) -> list:
     raw = model_cfg.get("n_atoms", model_cfg.get("micro.n_atoms", ""))
-    values = [int(tok) for tok in str(raw).split(",") if tok.strip()]
+    try:
+        values = [int(tok) for tok in str(raw).split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad n_atoms: {exc}") from None
     if not values:
         raise ConfigError("n_atoms must be given")
     return values
@@ -129,364 +199,249 @@ def _point_params(model_cfg: dict, n_atoms: int, variable: str, value: float) ->
     return model_params_from_config(cfg)
 
 
-def _hp_steady(params: LMGParams, fp, offset: float = SINGULAR_OFFSET):
-    """HP steady moments at a sweep point whose selected branch is ``fp``.
-
-    Singular points get a small coupling offset, with the branch re-selected
-    at the shifted coupling.
-    """
-    trials = ((params, fp), (dataclasses.replace(params, lam=params.lam + offset), None),
-              (dataclasses.replace(params, lam=params.lam - offset), None))
-    for trial, branch in trials:
-        try:
-            if branch is None:
-                branch = selected_branch(trial)
-            return moment_steady_state(hp_coefficients(trial, branch))
-        except (NoStableGaussianState, ValueError):
-            continue
-    raise PointFailure("no stable Gaussian steady state near this point")
+def _sweep_grid(cli_cfg, model_cfg, variable):
+    """(value, n_atoms) and parameters of every steady or dynamics point, N outermost."""
+    values = _sweep_values(cli_cfg)
+    coords = [(v, n) for n in _n_atoms_list(model_cfg) for v in values]
+    return coords, [_point_params(model_cfg, n, variable, v) for v, n in coords]
 
 
-# -- steady ------------------------------------------------------------------
+def _per_n_files(coords, kinds):
+    """One file per N and per ``(kind, columns)``, fed by the points at that N."""
+    files = []
+    for n in dict.fromkeys(n for _, n in coords):
+        indices = [i for i, (_, m) in enumerate(coords) if m == n]
+        files += [(f"{kind}_N{n}.csv", kind, [], columns, indices) for kind, columns in kinds]
+    return files
 
 
-def _steady_point(task):
-    index, model_cfg, n_atoms, variable, value, outputs, offset = task
-    try:
-        params = _point_params(model_cfg, n_atoms, variable, value)
-        algebra = build_algebra(params.n_atoms)
-        spec = build_gamma0(params, algebra)
-        rho = steady_state(spec, tol=1e-10, check_unique=False)
-        j2 = (params.n_atoms / 2.0) ** 2
-        row = {
-            "lambda": params.lam,
-            "h": params.h,
-            "jx2": expectation(algebra.jx @ algebra.jx, rho).real / j2,
-            "jy2": expectation(algebra.jy @ algebra.jy, rho).real / j2,
-            "jz2": expectation(algebra.jz @ algebra.jz, rho).real / j2,
-        }
-        fp_sel = selected_branch(params)
-        row["sc_branch"] = fp_sel.branch
-        row["sc_x"], row["sc_y"], row["sc_z"] = fp_sel.state.x, fp_sel.state.y, fp_sel.state.z
-
-        payload = {"row": row, "index": index}
-        moments = None
-        if outputs & {"entanglement", "cphi", "eigenvalues"}:
-            try:
-                moments = _hp_steady(params, fp_sel, offset)
-            except PointFailure:
-                pass
-        if "entanglement" in outputs or "cphi" in outputs:
-            ent = entanglement_curve(rho, algebra)
-            row["c_r"] = ent.c_r
-            row["phi_star"] = ent.phi_star
-            row["c_r_hp"] = np.nan if moments is None else hp_entanglement(moments).c_r
-            if "cphi" in outputs:
-                payload["cphi"] = (ent.phi_grid, ent.c_phi)
-        if "eigenvalues" in outputs:
-            phase = "normal" if fp_sel.branch == NORMAL else "broken"
-            pair = hp_eigenvalues(params, phase)
-            row["phase"] = phase
-            row["re_mu_p"], row["im_mu_p"] = pair.mu_plus.real, pair.mu_plus.imag
-            row["re_mu_m"], row["im_mu_m"] = pair.mu_minus.real, pair.mu_minus.imag
-            if moments is None:
-                row["n_ss"] = row["re_m_ss"] = row["im_m_ss"] = np.nan
-            else:
-                row["n_ss"], row["re_m_ss"], row["im_m_ss"] = (
-                    moments.n, moments.m.real, moments.m.imag,
-                )
-        if "semiclassical" in outputs:
-            payload["semiclassical"] = [
-                (params.lam, params.h, f.branch, f.state.x, f.state.y, f.state.z, f.stable)
-                for f in fixed_points(params)
-            ]
-        return {"index": index, "status": "ok", "value": value, "n_atoms": n_atoms, "payload": payload}
-    except Exception as exc:  # per-point failures must not kill the sweep
-        residual = getattr(exc, "residual", np.nan)
-        return {
-            "index": index, "status": "error", "value": value, "n_atoms": n_atoms,
-            "error": f"{type(exc).__name__}: {exc}", "residual": residual,
-        }
+def _per_value_files(kind, variable, values, columns):
+    """One file per sweep value, named by the value and carrying it in its header."""
+    return [(f"{kind}_{variable}_{_fmt(v).replace('-', 'm').replace('.', 'p')}.csv", kind,
+             [f"{variable} = {_fmt(v)}"], columns, [i])
+            for i, v in enumerate(values)]
 
 
-def cmd_steady(cli_cfg, model_cfg, outdir, jobs, gnuplot):
+def _plan_steady(cli_cfg, model_cfg, variable, outputs) -> _Plan:
+    offset = _number(cli_cfg, "sweep.singular_offset", SINGULAR_OFFSET)
+    columns = list(_STEADY_COLUMNS)
+    if outputs & {"entanglement", "cphi"}:
+        columns += _ENTANGLEMENT_COLUMNS
+    if "eigenvalues" in outputs:
+        columns += _EIGENVALUE_COLUMNS
+    kinds = [("steady", columns)]
+    if "cphi" in outputs:
+        kinds.append(("cphi", [variable, "phi", "c_phi"]))
+    if "semiclassical" in outputs:
+        kinds.append(("semiclassical", ["lambda", "h", "branch", "X", "Y", "Z", "stable"]))
+    coords, params = _sweep_grid(cli_cfg, model_cfg, variable)
+    tasks = [(p, v, outputs, columns, offset) for p, (v, _) in zip(params, coords)]
+    return _Plan(variable, _steady_point, tasks, coords, _per_n_files(coords, kinds))
+
+
+def _plan_dynamics(cli_cfg, model_cfg, variable, outputs) -> _Plan:
+    offset = _number(cli_cfg, "sweep.singular_offset", SINGULAR_OFFSET)
+    times = np.linspace(0.0, _number(cli_cfg, "dynamics.t_end", 10.0),
+                        _number(cli_cfg, "dynamics.t_points", 101, int))
+    m0 = _number(cli_cfg, "dynamics.initial_m")
+    columns = ["lambda", "h", "t"]
+    if "entanglement" in outputs:
+        columns.append("c_r")
+    if "moments" in outputs:
+        columns += ["jx2", "jy2", "jz2"]
+    if "hp" in outputs:
+        columns.append("c_r_hp")
+    coords, params = _sweep_grid(cli_cfg, model_cfg, variable)
+    tasks = [(p, outputs, columns, times, m0, offset) for p in params]
+    return _Plan(variable, _dynamics_point, tasks, coords,
+                 _per_n_files(coords, [("dynamics", columns)]))
+
+
+def _plan_spectrum(cli_cfg, model_cfg, variable, outputs) -> _Plan:
+    values = _value_list(cli_cfg, "spectrum.values")
+    lam, h = _number(model_cfg, "lambda", 1.0), _number(model_cfg, "h", 1.0)
+    cavity = {key: _number(cli_cfg, f"spectrum.{key}")
+              for key in _CAVITY_KEYS if f"spectrum.{key}" in cli_cfg}
+    nu = np.linspace(_number(cli_cfg, "spectrum.nu_min", -3.0),
+                     _number(cli_cfg, "spectrum.nu_max", 3.0),
+                     _number(cli_cfg, "spectrum.nu_points", 2001, int))
+    tasks = [((v, h) if variable == "lambda" else (lam, v), cavity, nu) for v in values]
+    return _Plan(variable, _spectrum_point, tasks, [(v, 0) for v in values],
+                 _per_value_files("spectrum", variable, values, ["nu", "t_p", "diverged"]))
+
+
+def _plan_qfunc(cli_cfg, model_cfg, variable, outputs) -> _Plan:
+    values = _value_list(cli_cfg, "qfunc.values")
+    n_atoms = _n_atoms_list(model_cfg)[0]
+    thetas = np.linspace(0.0, np.pi, _number(cli_cfg, "qfunc.n_theta", 61, int))
+    phis = np.linspace(0.0, 2.0 * np.pi, _number(cli_cfg, "qfunc.n_phi", 121, int),
+                       endpoint=False)
+    tasks = [(_point_params(model_cfg, n_atoms, variable, v), thetas, phis) for v in values]
+    return _Plan(variable, _qfunc_point, tasks, [(v, n_atoms) for v in values],
+                 _per_value_files("qfunc", variable, values, ["theta", "phi", "q"]))
+
+
+_PLANNERS = {
+    "steady": _plan_steady,
+    "dynamics": _plan_dynamics,
+    "spectrum": _plan_spectrum,
+    "qfunc": _plan_qfunc,
+}
+
+
+def _plan(command: str, cfg: dict) -> _Plan:
+    """Check the merged config and plan the run; raises ValueError on a bad config."""
+    cfg = dict(cfg)
+    preset_cmd = cfg.pop("command", None)
+    if preset_cmd and preset_cmd != command:
+        logger.info("preset is for %s, running %s as requested", preset_cmd, command)
+    cli_cfg, model_cfg = _split_config(cfg)
     variable = cli_cfg.get("sweep.variable", "lambda")
     if variable not in ("lambda", "h"):
         raise ConfigError("sweep.variable must be 'lambda' or 'h'")
-    values = _sweep_values(cli_cfg)
-    outputs = set(cli_cfg.get("outputs", "moments,entanglement").split(","))
-    offset = float(cli_cfg.get("sweep.singular_offset", str(SINGULAR_OFFSET)))
-    n_list = _n_atoms_list(model_cfg)
-
-    tasks = []
-    index = 0
-    for n_atoms in n_list:
-        for value in values:
-            tasks.append((index, model_cfg, n_atoms, variable, value, outputs, offset))
-            index += 1
-    results = _run_pool(_steady_point, tasks, jobs)
-
-    files, points = [], []
-    base_cols = ["lambda", "h", "jx2", "jy2", "jz2", "sc_x", "sc_y", "sc_z", "sc_branch"]
-    if "entanglement" in outputs or "cphi" in outputs:
-        base_cols += ["c_r", "c_r_hp", "phi_star"]
-    if "eigenvalues" in outputs:
-        base_cols += ["phase", "re_mu_p", "im_mu_p", "re_mu_m", "im_mu_m",
-                      "n_ss", "re_m_ss", "im_m_ss"]
-    for n_atoms in n_list:
-        subset = [r for r in results if r["n_atoms"] == n_atoms]
-        path = outdir / f"steady_N{n_atoms}.csv"
-        _write_rows(path, cli_cfg, model_cfg, base_cols,
-                    [r["payload"]["row"] for r in subset if r["status"] == "ok"])
-        files.append(path)
-        if "cphi" in outputs:
-            cpath = outdir / f"cphi_N{n_atoms}.csv"
-            with open(cpath, "w") as fh:
-                _write_header(fh, cli_cfg, model_cfg)
-                fh.write(f"{variable},phi,c_phi\n")
-                for r in subset:
-                    if r["status"] != "ok" or "cphi" not in r["payload"]:
-                        continue
-                    grid, curve = r["payload"]["cphi"]
-                    for p, c in zip(grid, curve):
-                        fh.write(f"{_fmt(r['value'])},{_fmt(p)},{_fmt(c)}\n")
-            files.append(cpath)
-        if "semiclassical" in outputs:
-            spath = outdir / f"semiclassical_N{n_atoms}.csv"
-            with open(spath, "w") as fh:
-                _write_header(fh, cli_cfg, model_cfg)
-                fh.write("lambda,h,branch,X,Y,Z,stable\n")
-                for r in subset:
-                    if r["status"] != "ok":
-                        continue
-                    for lam, h, branch, x, y, z, stable in r["payload"]["semiclassical"]:
-                        fh.write(
-                            f"{_fmt(lam)},{_fmt(h)},{branch},{_fmt(x)},{_fmt(y)},{_fmt(z)},{int(stable)}\n"
-                        )
-            files.append(spath)
-    points = _point_records(results, variable)
-    if gnuplot:
-        files += _gnuplot_script(outdir, "steady", [f for f in files if f.suffix == ".csv"])
-    return files, points
+    raw = cli_cfg.get("outputs", _DEFAULT_OUTPUTS.get(command, ""))
+    outputs = {tok.strip() for tok in raw.split(",") if tok.strip()}
+    if outputs - _OUTPUTS:
+        raise ConfigError(f"unknown outputs {sorted(outputs - _OUTPUTS)}; "
+                          f"known: {sorted(_OUTPUTS)}")
+    # The model block is checked once here; spectra derive their own parameters,
+    # so the probe takes any N.
+    if model_params_from_config({**model_cfg, "n_atoms": "1"}).gamma_anisotropy != 0:
+        raise ConfigError(f"model {model_cfg['model']!r} is not supported by the CLI, "
+                          "which runs the gamma0 model only")
+    plan = _PLANNERS[command](cli_cfg, model_cfg, variable, outputs)
+    plan.config = {**model_cfg, **cli_cfg}
+    return plan
 
 
-# -- dynamics ------------------------------------------------------------------
+# -- points ------------------------------------------------------------------------
 
 
-def _dynamics_point(task):
-    index, model_cfg, n_atoms, variable, value, outputs, times, m0, offset = task
-    try:
-        params = _point_params(model_cfg, n_atoms, variable, value)
-        rows, record = [], {}
-        hp_cr = None
-        if "hp" in outputs:
-            hp_cr = _hp_dynamics_curve(params, times, offset)
-        if outputs - {"hp"}:
-            algebra = build_algebra(params.n_atoms)
-            spec = build_gamma0(params, algebra)
-            rho0 = all_up_state(params.n_atoms) if m0 is None else dicke_state(params.n_atoms, m0)
-            traj = evolve(spec, rho0, times)
-            record = {"block_size": traj.block_size, "matvecs": traj.matvecs}
-            moments = trajectory_moments(traj.states, algebra)
-            j2 = (params.n_atoms / 2.0) ** 2
-            for k, t in enumerate(times):
-                row = {"lambda": params.lam, "h": params.h, "t": t}
-                if "entanglement" in outputs:
-                    row["c_r"] = moments["c_r"][k]
-                if "moments" in outputs:
-                    row["jx2"] = moments["jx2"][k] / j2
-                    row["jy2"] = moments["jy2"][k] / j2
-                    row["jz2"] = moments["jz2"][k] / j2
-                if hp_cr is not None:
-                    row["c_r_hp"] = hp_cr[k]
-                rows.append(row)
-        else:
-            for k, t in enumerate(times):
-                rows.append({"lambda": params.lam, "h": params.h, "t": t, "c_r_hp": hp_cr[k]})
-        return {"index": index, "status": "ok", "value": value, "n_atoms": n_atoms,
-                "payload": {"rows": rows}, "record": record}
-    except Exception as exc:
-        return {"index": index, "status": "error", "value": value, "n_atoms": n_atoms,
-                "error": f"{type(exc).__name__}: {exc}",
-                "residual": getattr(exc, "residual", np.nan)}
+def _offset_retry(params: LMGParams, offset: float, solve):
+    """``solve(params)``, else ``solve`` at lambda + offset, then lambda - offset.
+
+    The HP linearization is singular at the transition itself.  Returns None
+    when all three raise.
+    """
+    for trial in (params, dataclasses.replace(params, lam=params.lam + offset),
+                  dataclasses.replace(params, lam=params.lam - offset)):
+        try:
+            return solve(trial)
+        except (NoStableGaussianState, ValueError):
+            continue
+    return None
+
+
+def _hp_steady(params: LMGParams, fp, offset: float = SINGULAR_OFFSET):
+    """HP steady moments at a sweep point whose selected branch is ``fp``, or None.
+
+    At a shifted coupling the branch is selected again.
+    """
+    return _offset_retry(params, offset, lambda trial: moment_steady_state(
+        hp_coefficients(trial, fp if trial is params else selected_branch(trial))))
 
 
 def _hp_dynamics_curve(params: LMGParams, times, offset: float = SINGULAR_OFFSET) -> list:
     """C_R^HP(t) from vacuum initial moments about the selected branch."""
-    for trial in (params, dataclasses.replace(params, lam=params.lam + offset),
-                  dataclasses.replace(params, lam=params.lam - offset)):
-        try:
-            fp = selected_branch(trial)
-            coeffs = hp_coefficients(trial, fp)
-            states = evolve_moments(coeffs, MomentState(n=0.0, m=0.0), times)
-            return [hp_entanglement(s).c_r for s in states]
-        except ValueError:
-            continue
-    raise PointFailure("no HP linearization available at this point")
+    def curve(trial):
+        coeffs = hp_coefficients(trial, selected_branch(trial))
+        return [hp_entanglement(s).c_r for s in evolve_moments(coeffs, MomentState(n=0.0, m=0.0), times)]
+
+    result = _offset_retry(params, offset, curve)
+    if result is None:
+        raise PointFailure("no HP linearization available at this point")
+    return result
 
 
-def cmd_dynamics(cli_cfg, model_cfg, outdir, jobs, gnuplot):
-    variable = cli_cfg.get("sweep.variable", "lambda")
-    if variable not in ("lambda", "h"):
-        raise ConfigError("sweep.variable must be 'lambda' or 'h'")
-    values = _sweep_values(cli_cfg)
-    outputs = set(cli_cfg.get("outputs", "entanglement").split(","))
-    t_end = float(cli_cfg.get("dynamics.t_end", "10.0"))
-    t_points = int(cli_cfg.get("dynamics.t_points", "101"))
-    m0 = cli_cfg.get("dynamics.initial_m")
-    m0 = float(m0) if m0 is not None else None
-    offset = float(cli_cfg.get("sweep.singular_offset", str(SINGULAR_OFFSET)))
-    times = np.linspace(0.0, t_end, t_points)
-    n_list = _n_atoms_list(model_cfg)
+def _steady_point(task):
+    params, value, outputs, columns, offset = task
+    algebra = build_algebra(params.n_atoms)
+    rho = steady_state(build_gamma0(params, algebra), tol=1e-10, check_unique=False)
+    j2 = (params.n_atoms / 2.0) ** 2
+    row = {
+        "lambda": params.lam,
+        "h": params.h,
+        "jx2": expectation(algebra.jx @ algebra.jx, rho).real / j2,
+        "jy2": expectation(algebra.jy @ algebra.jy, rho).real / j2,
+        "jz2": expectation(algebra.jz @ algebra.jz, rho).real / j2,
+    }
+    fp_sel = selected_branch(params)
+    row["sc_branch"] = fp_sel.branch
+    row["sc_x"], row["sc_y"], row["sc_z"] = fp_sel.state.x, fp_sel.state.y, fp_sel.state.z
 
-    tasks = []
-    for i, n_atoms in enumerate(n_list):
-        for k, value in enumerate(values):
-            tasks.append((i * len(values) + k, model_cfg, n_atoms, variable, value, outputs, times, m0, offset))
-    results = _run_pool(_dynamics_point, tasks, jobs)
+    rows = {}
+    moments = None
+    if outputs & {"entanglement", "cphi", "eigenvalues"}:
+        moments = _hp_steady(params, fp_sel, offset)
+    if outputs & {"entanglement", "cphi"}:
+        ent = entanglement_curve(rho, algebra)
+        row["c_r"] = ent.c_r
+        row["phi_star"] = ent.phi_star
+        row["c_r_hp"] = np.nan if moments is None else hp_entanglement(moments).c_r
+        if "cphi" in outputs:
+            rows["cphi"] = np.column_stack(
+                [np.full(len(ent.phi_grid), value), ent.phi_grid, ent.c_phi])
+    if "eigenvalues" in outputs:
+        phase = "normal" if fp_sel.branch == NORMAL else "broken"
+        pair = hp_eigenvalues(params, phase)
+        row["phase"] = phase
+        row["re_mu_p"], row["im_mu_p"] = pair.mu_plus.real, pair.mu_plus.imag
+        row["re_mu_m"], row["im_mu_m"] = pair.mu_minus.real, pair.mu_minus.imag
+        if moments is None:
+            row["n_ss"] = row["re_m_ss"] = row["im_m_ss"] = np.nan
+        else:
+            row["n_ss"], row["re_m_ss"], row["im_m_ss"] = (
+                moments.n, moments.m.real, moments.m.imag,
+            )
+    if "semiclassical" in outputs:
+        rows["semiclassical"] = [
+            [params.lam, params.h, f.branch, f.state.x, f.state.y, f.state.z, int(f.stable)]
+            for f in fixed_points(params)
+        ]
+    rows["steady"] = [[row[col] for col in columns]]
+    return {"rows": rows}
 
-    cols = ["lambda", "h", "t"]
-    if "entanglement" in outputs:
-        cols.append("c_r")
-    if "moments" in outputs:
-        cols += ["jx2", "jy2", "jz2"]
+
+def _dynamics_point(task):
+    params, outputs, columns, times, m0, offset = task
+    table = {"lambda": np.full(len(times), params.lam), "h": np.full(len(times), params.h),
+             "t": times}
+    record = {}
     if "hp" in outputs:
-        cols.append("c_r_hp")
-    files = []
-    for n_atoms in n_list:
-        subset = [r for r in results if r["n_atoms"] == n_atoms]
-        rows = []
-        for r in subset:
-            if r["status"] == "ok":
-                rows.extend(r["payload"]["rows"])
-        path = outdir / f"dynamics_N{n_atoms}.csv"
-        _write_rows(path, cli_cfg, model_cfg, cols, rows)
-        files.append(path)
-    if gnuplot:
-        files += _gnuplot_script(outdir, "dynamics", [f for f in files if f.suffix == ".csv"])
-    return files, _point_records(results, variable)
-
-
-# -- spectrum ------------------------------------------------------------------
+        table["c_r_hp"] = _hp_dynamics_curve(params, times, offset)
+    if outputs & {"entanglement", "moments"}:
+        algebra = build_algebra(params.n_atoms)
+        rho0 = all_up_state(params.n_atoms) if m0 is None else dicke_state(params.n_atoms, m0)
+        traj = evolve(build_gamma0(params, algebra), rho0, times)
+        record = {"block_size": traj.block_size, "matvecs": traj.matvecs}
+        moments = trajectory_moments(traj.states, algebra)
+        j2 = (params.n_atoms / 2.0) ** 2
+        table["c_r"] = moments["c_r"]
+        for name in ("jx2", "jy2", "jz2"):
+            table[name] = moments[name] / j2
+    return {"rows": {"dynamics": np.column_stack([table[col] for col in columns])},
+            "record": record}
 
 
 def _spectrum_point(task):
-    index, cfg, variable, value = task
-    try:
-        h = float(cfg.get("h", "1.0"))
-        lam = float(cfg.get("lambda", "1.0"))
-        if variable == "lambda":
-            lam = value
-        else:
-            h = value
-        params, cavity = fig_cavity(
-            lam=lam,
-            h=h,
-            gamma_b=float(cfg.get("spectrum.gamma_b", "0.05")),
-            kappa_a=float(cfg.get("spectrum.kappa_a", "0.3")),
-            delta_a=float(cfg.get("spectrum.delta_a", "15.0")),
-            kappa_b=float(cfg.get("spectrum.kappa_b", "15.0")),
-            delta_b=float(cfg.get("spectrum.delta_b", "0.0")),
-        )
-        nu = np.linspace(
-            float(cfg.get("spectrum.nu_min", "-3.0")),
-            float(cfg.get("spectrum.nu_max", "3.0")),
-            int(cfg.get("spectrum.nu_points", "2001")),
-        )
-        fp = selected_branch(params)
-        sysm = linear_system(params, cavity, rotation_angles(fp))
-        result = transmission(sysm, None, nu)
-        return {"index": index, "status": "ok", "value": value,
-                "n_atoms": 0, "payload": {"result": result},
-                "record": {"diverged_points": int(result.diverged.sum())}}
-    except Exception as exc:
-        return {"index": index, "status": "error", "value": value, "n_atoms": 0,
-                "error": f"{type(exc).__name__}: {exc}", "residual": np.nan}
-
-
-def cmd_spectrum(cli_cfg, model_cfg, outdir, jobs, gnuplot):
-    variable = cli_cfg.get("sweep.variable", "lambda")
-    raw = cli_cfg.get("spectrum.values")
-    if raw is None:
-        raise ConfigError("spectrum requires spectrum.values (comma-separated)")
-    values = _value_list(raw)
-    cfg = {**cli_cfg, **model_cfg}
-    tasks = [(i, cfg, variable, v) for i, v in enumerate(values)]
-    results = _run_pool(_spectrum_point, tasks, jobs)
-
-    files = []
-    for r in sorted(results, key=lambda r: r["index"]):
-        if r["status"] != "ok":
-            continue
-        tag = _fmt(r["value"]).replace("-", "m").replace(".", "p")
-        path = outdir / f"spectrum_{variable}_{tag}.csv"
-        with open(path, "w") as fh:
-            _write_header(fh, cli_cfg, model_cfg)
-            fh.write(f"# {variable} = {_fmt(r['value'])}\n")
-            fh.write("nu,t_p,diverged\n")
-            res = r["payload"]["result"]
-            for nu, tp, dv in zip(res.nu, res.t_p, res.diverged):
-                fh.write(f"{_fmt(nu)},{_fmt(tp)},{int(dv)}\n")
-        files.append(path)
-    if gnuplot:
-        files += _gnuplot_script(outdir, "spectrum", [f for f in files if f.suffix == ".csv"])
-    return files, _point_records(results, variable)
-
-
-# -- qfunc ---------------------------------------------------------------------
+    (lam, h), cavity, nu = task
+    params, cav = fig_cavity(lam=lam, h=h, **cavity)
+    sysm = linear_system(params, cav, rotation_angles(selected_branch(params)))
+    result = transmission(sysm, None, nu)
+    return {"rows": {"spectrum": np.column_stack([result.nu, result.t_p, result.diverged])},
+            "record": {"diverged_points": int(result.diverged.sum())}}
 
 
 def _qfunc_point(task):
-    index, model_cfg, n_atoms, variable, value, n_theta, n_phi = task
-    try:
-        params = _point_params(model_cfg, n_atoms, variable, value)
-        algebra = build_algebra(params.n_atoms)
-        spec = build_gamma0(params, algebra)
-        rho = steady_state(spec, tol=1e-10, check_unique=False)
-        thetas = np.linspace(0.0, np.pi, n_theta)
-        phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-        grid = spin_qfunction(rho, algebra, thetas, phis)
-        return {"index": index, "status": "ok", "value": value, "n_atoms": n_atoms,
-                "payload": {"grid": grid}}
-    except Exception as exc:
-        return {"index": index, "status": "error", "value": value, "n_atoms": n_atoms,
-                "error": f"{type(exc).__name__}: {exc}",
-                "residual": getattr(exc, "residual", np.nan)}
+    params, thetas, phis = task
+    algebra = build_algebra(params.n_atoms)
+    rho = steady_state(build_gamma0(params, algebra), tol=1e-10, check_unique=False)
+    grid = spin_qfunction(rho, algebra, thetas, phis)
+    theta, phi = np.meshgrid(grid.thetas, grid.phis, indexing="ij")
+    return {"rows": {"qfunc": np.column_stack([theta.ravel(), phi.ravel(), grid.values.ravel()])}}
 
 
-def cmd_qfunc(cli_cfg, model_cfg, outdir, jobs, gnuplot):
-    variable = cli_cfg.get("sweep.variable", "lambda")
-    raw = cli_cfg.get("qfunc.values")
-    if raw is None:
-        raise ConfigError("qfunc requires qfunc.values (comma-separated)")
-    values = _value_list(raw)
-    n_theta = int(cli_cfg.get("qfunc.n_theta", "61"))
-    n_phi = int(cli_cfg.get("qfunc.n_phi", "121"))
-    n_atoms = _n_atoms_list(model_cfg)[0]
-    tasks = [(i, model_cfg, n_atoms, variable, v, n_theta, n_phi) for i, v in enumerate(values)]
-    results = _run_pool(_qfunc_point, tasks, jobs)
-
-    files = []
-    for r in sorted(results, key=lambda r: r["index"]):
-        if r["status"] != "ok":
-            continue
-        tag = _fmt(r["value"]).replace("-", "m").replace(".", "p")
-        path = outdir / f"qfunc_{variable}_{tag}.csv"
-        with open(path, "w") as fh:
-            _write_header(fh, cli_cfg, model_cfg)
-            fh.write(f"# {variable} = {_fmt(r['value'])}\n")
-            fh.write("theta,phi,q\n")
-            grid = r["payload"]["grid"]
-            for i, th in enumerate(grid.thetas):
-                for j, ph in enumerate(grid.phis):
-                    fh.write(f"{_fmt(th)},{_fmt(ph)},{_fmt(grid.values[i, j])}\n")
-        files.append(path)
-    if gnuplot:
-        files += _gnuplot_script(outdir, "qfunc", [f for f in files if f.suffix == ".csv"])
-    return files, _point_records(results, variable)
-
-
-# -- shared plumbing -----------------------------------------------------------
+# -- running and writing -------------------------------------------------------------
 
 
 # The OpenBLAS copy each package bundles: (package, library glob, symbol suffix).
@@ -529,76 +484,57 @@ def _pin_blas() -> dict:
 
 
 def _timed(call):
-    """Run one point in the worker and record its wall time as ``wall_s``."""
+    """Run one point in the worker and record its wall time as ``wall_s``.
+
+    The result is the point function's dict with ``status`` ``"ok"``, or, if
+    it raised, ``status`` ``"error"`` with the ``error`` and the ``residual``
+    the exception carries (NaN if none).
+    """
     worker, task = call
     start = time.perf_counter()
-    result = worker(task)
+    try:
+        result = {"status": "ok", **worker(task)}
+    except Exception as exc:  # a failed point must not stop the sweep
+        logger.debug("point failed", exc_info=True)
+        result = {"status": "error", "error": f"{type(exc).__name__}: {exc}",
+                  "residual": getattr(exc, "residual", np.nan)}
     result["wall_s"] = time.perf_counter() - start
     return result
 
 
 def _run_pool(worker, tasks, jobs):
+    """Results of ``worker`` on every task, in task order, over ``jobs`` processes."""
     calls = [(worker, t) for t in tasks]
     if jobs <= 1 or len(tasks) <= 1:
-        results = [_timed(call) for call in calls]
-    else:
-        with Pool(processes=min(jobs, len(tasks)), initializer=_pin_blas) as pool:
-            results = pool.map(_timed, calls)
-    return sorted(results, key=lambda r: r["index"])
+        return [_timed(call) for call in calls]
+    with Pool(processes=min(jobs, len(tasks)), initializer=_pin_blas) as pool:
+        return pool.map(_timed, calls)
 
 
-def _point_records(results, variable):
+def _point_records(plan: _Plan, results) -> list:
     records = []
-    for r in results:
-        rec = {"index": r["index"], variable: float(r["value"]), "status": r["status"],
+    for index, ((value, n_atoms), r) in enumerate(zip(plan.coords, results)):
+        rec = {"index": index, plan.variable: float(value), "status": r["status"],
                "wall_s": round(r["wall_s"], 6)}
-        if r.get("n_atoms"):
-            rec["n_atoms"] = int(r["n_atoms"])
-        if r["status"] != "ok":
-            rec["error"] = r.get("error", "")
-            residual = r.get("residual", np.nan)
-            if residual is not None and np.isfinite(residual):
-                rec["residual"] = float(residual)
-        else:
+        if n_atoms:
+            rec["n_atoms"] = int(n_atoms)
+        if r["status"] == "ok":
             rec.update(r.get("record", {}))
+        else:
+            rec["error"] = r["error"]
+            if r["residual"] is not None and np.isfinite(r["residual"]):
+                rec["residual"] = float(r["residual"])
         records.append(rec)
     return records
 
 
-def _write_header(fh, cli_cfg, model_cfg):
-    fh.write(f"# dlmg {__version__}\n")
-    for key in sorted({**model_cfg, **cli_cfg}):
-        value = {**model_cfg, **cli_cfg}[key]
-        fh.write(f"# {key} = {value}\n")
-
-
-def _write_rows(path, cli_cfg, model_cfg, cols, rows):
+def _write_rows(path, header, columns, rows):
+    """Write one CSV file: ``# `` header lines, the column line, one line per row."""
     with open(path, "w") as fh:
-        _write_header(fh, cli_cfg, model_cfg)
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            cells = []
-            for col in cols:
-                val = row.get(col, np.nan)
-                cells.append(val if isinstance(val, str) else _fmt(val))
-            fh.write(",".join(cells) + "\n")
-
-
-def _gnuplot_script(outdir, command, csv_files):
-    path = outdir / f"plot_{command}.gp"
-    with open(path, "w") as fh:
-        fh.write("set datafile separator ','\nset key autotitle columnhead\n")
-        for f in csv_files:
-            fh.write(f"# plot '{f.name}' using 1:2 with lines\n")
-    return [path]
-
-
-_COMMANDS = {
-    "steady": cmd_steady,
-    "dynamics": cmd_dynamics,
-    "spectrum": cmd_spectrum,
-    "qfunc": cmd_qfunc,
-}
+        fh.writelines(f"# {line}\n" for line in header)
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row) + "\n"
+                      for row in rows)
 
 
 def main(argv=None) -> int:
@@ -606,13 +542,12 @@ def main(argv=None) -> int:
         prog="dlmg",
         description="Dissipative collective-spin model sweeps: steady states, dynamics, spectra, Q-functions.",
     )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
+    parser.add_argument("command", choices=sorted(_PLANNERS))
     parser.add_argument("--config", help="flat key = value configuration file")
     parser.add_argument("--preset", help=f"named preset ({', '.join(sorted(PRESETS))})")
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                         help="worker processes (default: all cores)")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--gnuplot", action="store_true", help="emit companion gnuplot scripts")
     args = parser.parse_args(argv)
 
     level = os.environ.get("DLMG_LOG", "warning").upper()
@@ -622,47 +557,44 @@ def main(argv=None) -> int:
 
     started = time.perf_counter()
     try:
-        cfg = _merged_config(args)
-        preset_cmd = cfg.pop("command", None)
-        if preset_cmd and preset_cmd != args.command:
-            logger.info("preset is for %s, running %s as requested", preset_cmd, args.command)
-        cli_cfg, model_cfg = _split_config(cfg)
-        # Validate the model block up front so typos exit with code 1.
-        probe = dict(model_cfg)
-        try:
-            probe["n_atoms"] = str(_n_atoms_list(model_cfg)[0])
-        except ConfigError:
-            probe["n_atoms"] = "1"  # spectra derive their own parameters
-        model_params_from_config(probe)
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        files, points = _COMMANDS[args.command](cli_cfg, model_cfg, outdir, args.jobs, args.gnuplot)
-    except (ConfigError, OSError, ValueError) as exc:
+        plan = _plan(args.command, _merged_config(args))
+    except ValueError as exc:  # ConfigError, and the range checks of the parameter classes
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
+    outdir = Path(args.out)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
+    results = _run_pool(plan.point, plan.tasks, args.jobs)
+    points = _point_records(plan, results)
     failures = sum(1 for p in points if p["status"] != "ok")
-
-    manifest = {
-        "command": args.command,
-        "preset": args.preset,
-        "version": __version__,
-        "jobs": args.jobs,
-        "blas_threads": blas_threads,
-        "config": {**model_cfg, **cli_cfg},
-        "wall_time_s": round(time.perf_counter() - started, 6),
-        "outputs": [f.name for f in files],
-        "points": points,
-        "failures": failures,
-    }
-    manifest_path = outdir / "manifest.json"
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=1, default=str)
-    for f in [*files, manifest_path]:
-        if not Path(f).exists():
-            print(f"internal error: missing output {f}", file=sys.stderr)
-            return 1
-    logger.info("wrote %d files to %s (%d failures)", len(files) + 1, outdir, failures)
+    header = [f"dlmg {__version__}", *(f"{k} = {plan.config[k]}" for k in sorted(plan.config))]
+    try:
+        for name, kind, extra, columns, indices in plan.files:
+            rows = (row for i in indices if results[i]["status"] == "ok"
+                    for row in results[i]["rows"][kind])
+            _write_rows(outdir / name, header + extra, columns, rows)
+        manifest = {
+            "command": args.command,
+            "preset": args.preset,
+            "version": __version__,
+            "jobs": args.jobs,
+            "blas_threads": blas_threads,
+            "config": plan.config,
+            "wall_time_s": round(time.perf_counter() - started, 6),
+            "outputs": [name for name, *_ in plan.files],
+            "points": points,
+            "failures": failures,
+        }
+        with open(outdir / "manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=1, default=str)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
+    logger.info("wrote %d files to %s (%d failures)", len(plan.files) + 1, outdir, failures)
     return 2 if failures else 0
 
 

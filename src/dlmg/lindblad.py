@@ -106,16 +106,6 @@ class TrajectoryResult:
     block_size: int = 0
     matvecs: int = 0
 
-    def to_csv(self, path):
-        """Write `t,<observable>...` rows, 15 significant digits."""
-        names = list(self.expectations)
-        with open(path, "w") as fh:
-            fh.write("t," + ",".join(names) + "\n")
-            for i, t in enumerate(self.times):
-                row = [f"{t:.15g}"]
-                row += [f"{self.expectations[n][i]:.15g}" for n in names]
-                fh.write(",".join(row) + "\n")
-
 
 def liouvillian_apply(spec: LindbladSpec, rho: np.ndarray) -> np.ndarray:
     """Right-hand side -i[H,rho] + sum_k rate_k D[A_k] rho, evaluated densely."""

@@ -88,12 +88,6 @@ class SpectrumResult:
     t_p: np.ndarray
     diverged: np.ndarray
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("nu,t_p,diverged\n")
-            for nu, tp, dv in zip(self.nu, self.t_p, self.diverged):
-                fh.write(f"{nu:.15g},{tp:.15g},{int(dv)}\n")
-
 
 def lambda_a_for_coupling(lam: float, kappa_a: float, delta_a: float) -> float:
     """Cavity coupling lambda_a that realizes spin coupling lam = 2 Lambda_a."""

@@ -70,11 +70,103 @@ def test_manifest_records_point_wall_times(tmp_path, command):
     assert sum(times) <= manifest["wall_time_s"]
 
 
+LAYOUT_RUNS = {
+    "steady": {**FAST_STEADY, "n_atoms": "4", "sweep.points": "3",
+               "outputs": "moments,entanglement,cphi,eigenvalues,semiclassical"},
+    "dynamics": {**TINY_RUNS["dynamics"], "n_atoms": "4", "outputs": "entanglement,moments,hp"},
+    "spectrum": TINY_RUNS["spectrum"],
+    "qfunc": {**TINY_RUNS["qfunc"], "n_atoms": "4"},
+}
+
+
+def _csv_layout(path):
+    """(comment lines, column line, number of data rows) of one CSV file."""
+    lines = path.read_text().splitlines()
+    comments = [l for l in lines if l.startswith("#")]
+    body = lines[len(comments):]
+    return comments, body[0], len(body) - 1
+
+
+@pytest.mark.parametrize("command", sorted(LAYOUT_RUNS))
+def test_csv_layout_of_every_output(tmp_path, command):
+    from dlmg import __version__
+    from dlmg.models import model_params_from_config
+    from dlmg.semiclassical import fixed_points
+
+    cfg = LAYOUT_RUNS[command]
+    out = tmp_path / command
+    assert cli.main([command, "--config", str(write_config(tmp_path, cfg)),
+                     "--jobs", "1", "--out", str(out)]) == 0
+    header = [f"# dlmg {__version__}"] + [f"# {k} = {cfg[k]}" for k in sorted(cfg)
+                                          if k != "command"]
+    if command == "steady":
+        lams = [0.4, 1.0, 1.6]
+        n_fixed = sum(len(fixed_points(model_params_from_config(
+            {"n_atoms": "4", "h": "1.0", "gamma_a": "0.01", "gamma_b": "0.2",
+             "lambda": str(lam)}))) for lam in lams)
+        expected = {
+            "steady_N4.csv": ("lambda,h,jx2,jy2,jz2,sc_x,sc_y,sc_z,sc_branch,c_r,c_r_hp,"
+                              "phi_star,phase,re_mu_p,im_mu_p,re_mu_m,im_mu_m,n_ss,re_m_ss,"
+                              "im_m_ss", 3, []),
+            "cphi_N4.csv": ("lambda,phi,c_phi", 3 * 720, []),
+            "semiclassical_N4.csv": ("lambda,h,branch,X,Y,Z,stable", n_fixed, []),
+        }
+    elif command == "dynamics":
+        expected = {"dynamics_N4.csv": ("lambda,h,t,c_r,jx2,jy2,jz2,c_r_hp", 3 * 5, [])}
+    elif command == "spectrum":
+        expected = {f"spectrum_lambda_{tag}.csv": ("nu,t_p,diverged", 51, [f"# lambda = {v}"])
+                    for tag, v in (("0p3", "0.3"), ("0p6", "0.6"), ("1p2", "1.2"))}
+    else:
+        expected = {f"qfunc_lambda_{tag}.csv": ("theta,phi,q", 9 * 8, [f"# lambda = {v}"])
+                    for tag, v in (("0p5", "0.5"), ("1p5", "1.5"))}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == list(expected)
+    assert sorted(p.name for p in out.iterdir()) == sorted([*expected, "manifest.json"])
+    for name, (columns, n_rows, extra) in expected.items():
+        assert _csv_layout(out / name) == (header + extra, columns, n_rows)
+
+
 def test_exit_code_one_on_unknown_key(tmp_path, capsys):
     cfg = write_config(tmp_path, {**FAST_STEADY, "lambdah": "1.0"})
     rc = cli.main(["steady", "--config", str(cfg), "--jobs", "1", "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("steady", {**FAST_STEADY, "model": "isotropic"}),
+    ("steady", {**FAST_STEADY, "model": "conventional"}),
+    ("spectrum", {**TINY_RUNS["spectrum"], "sweep.variable": "gamma_a"}),
+    ("qfunc", {**TINY_RUNS["qfunc"], "sweep.variable": "gamma_a"}),
+    ("dynamics", {**TINY_RUNS["dynamics"], "dynamics.t_ned": "3"}),
+    ("spectrum", {**TINY_RUNS["spectrum"], "spectrum.nu_point": "11"}),
+    ("steady", {**FAST_STEADY, "outputs": "moments,entanglment"}),
+    ("spectrum", {**TINY_RUNS["spectrum"], "spectrum.kappa_a": "0.3x"}),
+], ids=["isotropic", "conventional", "spectrum-variable", "qfunc-variable",
+        "dynamics-key", "spectrum-key", "outputs-name", "spectrum-number"])
+def test_rejected_config_exits_one_and_writes_nothing(tmp_path, capsys, command, cfg):
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", str(write_config(tmp_path, cfg)), "--jobs", "1",
+                   "--out", str(out)])
+    assert rc == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("blocked", ["out", "csv"])
+def test_unwritable_output_is_an_output_error(tmp_path, capsys, blocked):
+    # A file where --out should be fails the mkdir; a directory where the CSV
+    # should be fails the write after the points ran.
+    out = tmp_path / "out"
+    if blocked == "out":
+        out.write_text("")
+    else:
+        (out / "steady_N6.csv").mkdir(parents=True)
+    rc = cli.main(["steady", "--config", str(write_config(tmp_path, FAST_STEADY)),
+                   "--jobs", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "output error" in err and "config error" not in err
 
 
 def test_exit_code_one_without_config():
@@ -295,14 +387,6 @@ def test_spectrum_command_writes_per_value_files(tmp_path):
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert sorted(manifest["outputs"]) == ["spectrum_lambda_0p3.csv", "spectrum_lambda_1p05.csv"]
-
-
-def test_gnuplot_companion(tmp_path):
-    cfg = write_config(tmp_path, FAST_STEADY)
-    out = tmp_path / "gp"
-    rc = cli.main(["steady", "--config", str(cfg), "--jobs", "1", "--out", str(out), "--gnuplot"])
-    assert rc == 0
-    assert (out / "plot_steady.gp").exists()
 
 
 def test_preset_fidelity_blocks():

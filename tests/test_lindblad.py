@@ -484,21 +484,17 @@ def test_evolve_rejects_bad_times():
         evolve(spec, all_up_state(2), [-1.0, 1.0])
 
 
-def test_trajectory_csv_export(tmp_path):
+def test_trajectory_expectations():
     alg = build_algebra(3)
     spec = gamma0_spec(3, h=1.0, lam=0.4, gamma_a=0.0, gamma_b=0.3)
     traj = evolve(
         spec, all_up_state(3), np.linspace(0, 1, 5),
         observables={"jz": alg.jz, "jx2": alg.jx @ alg.jx},
     )
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,jz,jx2"
-    assert len(lines) == 6
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0
-    assert float(first[1]) == pytest.approx(1.5, abs=1e-12)
+    assert list(traj.expectations) == ["jz", "jx2"]
+    assert all(len(v) == 5 for v in traj.expectations.values())
+    assert traj.times[0] == 0.0
+    assert traj.expectations["jz"][0] == pytest.approx(1.5, abs=1e-12)
 
 
 def test_spec_validation():

@@ -195,16 +195,6 @@ def test_first_order_peak_splitting():
     assert sorted(peaks_above) == pytest.approx([-2.0, 2.0], rel=0.1)
 
 
-def test_spectrum_csv(tmp_path):
-    nu = default_nu_grid(-1, 1, 11)
-    _, res = full_spectrum(0.3, nu)
-    path = tmp_path / "spec.csv"
-    res.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "nu,t_p,diverged"
-    assert len(lines) == 12
-
-
 def test_transmission_independent_of_drive_amplitude():
     params, cavity = fig_cavity(lam=0.3)
     fp = selected_branch(params)
