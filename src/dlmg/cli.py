@@ -12,7 +12,8 @@ rejected there, with exit code 1 and ``config error``, for an unknown key
 checked against the keys any command reads, so a preset runs under another
 command), an unknown name in ``outputs``, a ``sweep.variable`` other than
 ``lambda`` or ``h``, a ``model`` other than ``gamma0`` (the CLI runs the
-gamma=0 model only) or a malformed value.
+gamma=0 model only), a malformed value, a list of N for ``qfunc``, or a
+``dynamics.initial_m`` that is no spin projection m of some N in the sweep.
 
 Sweep points are independent solves dispatched to a worker pool; results are
 collected and written in point order.  The OpenBLAS copies bundled with
@@ -252,6 +253,9 @@ def _plan_dynamics(cli_cfg, model_cfg, variable, outputs) -> _Plan:
     if "hp" in outputs:
         columns.append("c_r_hp")
     coords, params = _sweep_grid(cli_cfg, model_cfg, variable)
+    if m0 is not None:
+        for n in dict.fromkeys(n for _, n in coords):
+            dicke_state(n, m0)  # raises ValueError unless m0 is in {-N/2, ..., N/2}
     tasks = [(p, outputs, columns, times, m0, offset) for p in params]
     return _Plan(variable, _dynamics_point, tasks, coords,
                  _per_n_files(coords, [("dynamics", columns)]))
@@ -272,7 +276,9 @@ def _plan_spectrum(cli_cfg, model_cfg, variable, outputs) -> _Plan:
 
 def _plan_qfunc(cli_cfg, model_cfg, variable, outputs) -> _Plan:
     values = _value_list(cli_cfg, "qfunc.values")
-    n_atoms = _n_atoms_list(model_cfg)[0]
+    n_atoms, *rest = _n_atoms_list(model_cfg)
+    if rest:
+        raise ConfigError("qfunc takes one n_atoms, not a list")
     thetas = np.linspace(0.0, np.pi, _number(cli_cfg, "qfunc.n_theta", 61, int))
     phis = np.linspace(0.0, 2.0 * np.pi, _number(cli_cfg, "qfunc.n_phi", 121, int),
                        endpoint=False)

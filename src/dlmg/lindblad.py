@@ -36,7 +36,10 @@ of its initial value.  Propagation slices the Liouvillian to that reachable
 block and applies its exponential by the truncated Taylor method of Al-Mohy &
 Higham (SIAM J. Sci. Comput. 33, 488 (2011)), the algorithm of
 ``scipy.sparse.linalg.expm_multiply``, with its shift and 1-norm set up once
-per trajectory rather than once per output step.  It works to double
+per trajectory rather than once per output step.  Since L(rho+) = L(rho)+,
+a Hermitian state stays Hermitian, so the propagation runs on its real
+coordinates (Re rho_ij for i <= j, Im rho_ij for i < j) with a real sparse
+generator; the initial state must therefore be Hermitian.  It works to double
 precision, so there is no tolerance to choose.  The reduction is exact and
 needs no symmetry flag: for the gamma = 0 model started in a Dicke state the
 block is the even-parity part of rho (i - j even, the weak Z2 symmetry of
@@ -48,13 +51,14 @@ odd coherences keeps the whole space.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .operators import Operator, expectation_support, expectation_values
+from .operators import HERMITIAN_TOL, Operator, expectation_support, expectation_values
 
 logger = logging.getLogger(__name__)
 
@@ -264,11 +268,13 @@ def _steady_by_integration(spec, idx, lv_r, tol, max_time):
     """Relax the maximally mixed state on its reachable block until the residual drops below tol."""
     d = spec.dim
     rho = maximally_mixed(d)
-    propagator = _Propagator(lv_r)
+    propagator = _Propagator(lv_r, idx, d)
+    x = propagator.to_real(rho.reshape(-1)[idx])
     t, horizon = 0.0, 10.0
     res = _residual(spec, rho)
     while t < max_time and res > tol:
-        rho = _block_state(propagator.step(rho.reshape(-1)[idx], horizon), idx, d)
+        x = propagator.step(x, horizon)
+        rho = _block_state(propagator.to_block @ x, idx, d)
         t += horizon
         horizon *= 2.0
         res = _residual(spec, rho)
@@ -292,9 +298,16 @@ _THETA = {
 
 
 class _Propagator:
-    """exp(dt L) applied to vectors by the truncated Taylor method of Al-Mohy & Higham.
+    """exp(dt L) on Hermitian states, in real coordinates, by the Taylor method of Al-Mohy & Higham.
 
-    Set up once per generator: L is shifted by mu = tr(L)/n and the exact
+    ``lv`` is the generator on the vec coordinates ``idx`` of a d x d state,
+    a block closed under (i, j) -> (j, i).  L(rho+) = L(rho)+, so on Hermitian
+    states L is real-linear in the real coordinates x: Re rho_ij for i <= j,
+    then Im rho_ij for i < j, one per block coordinate.  ``to_block`` maps x
+    back to the block (at most two entries per row), and the real generator
+    is L_R = [Re (L to_block) on the rows i <= j; Im (L to_block) on i < j].
+
+    Set up once per generator: L_R is shifted by mu = tr(L_R)/n and the exact
     1-norm of the shifted matrix A is taken.  Each step of length dt picks the
     first (m, s) that minimises m*s with s = ceil(dt ||A||_1 / theta_m), takes
     s substeps of the m-term Taylor series of exp(dt A / s) with the early stop
@@ -304,15 +317,33 @@ class _Propagator:
     it takes more substeps, never fewer.  ``matvecs`` counts the products.
     """
 
-    def __init__(self, lv: sp.csr_matrix):
-        n = lv.shape[0]
-        self.mu = lv.diagonal().sum() / n
-        self.a = lv - self.mu * sp.identity(n, dtype=lv.dtype, format="csr")
+    def __init__(self, lv: sp.csr_matrix, idx: np.ndarray, d: int):
+        n = len(idx)
+        i, j = np.divmod(idx, d)
+        # The upper-triangle representative of each coordinate, and its Im sign.
+        rep = np.where(i <= j, np.arange(n), np.searchsorted(idx, j * d + i))
+        sign = np.sign(j - i)
+        self.upper, self.strict = np.flatnonzero(i <= j), np.flatnonzero(i < j)
+        off = np.flatnonzero(sign)
+        rows = np.concatenate((np.arange(n), off))
+        cols = np.concatenate((np.searchsorted(self.upper, rep),
+                               len(self.upper) + np.searchsorted(self.strict, rep[off])))
+        vals = np.concatenate((np.ones(n), 1j * sign[off]))
+        self.to_block = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        lt = (lv @ self.to_block).tocsr()
+        lv_real = sp.vstack((lt[self.upper].real, lt[self.strict].imag), format="csr")
+        lv_real.eliminate_zeros()
+        self.mu = lv_real.diagonal().sum() / n
+        self.a = lv_real - self.mu * sp.identity(n, format="csr")
         self.norm = float(abs(self.a).sum(axis=0).max())
         self.matvecs = 0
 
-    def step(self, vec: np.ndarray, dt: float) -> np.ndarray:
-        """exp(dt L) vec as a new array."""
+    def to_real(self, vec: np.ndarray) -> np.ndarray:
+        """Real coordinates of a Hermitian state given on the block."""
+        return np.concatenate((vec[self.upper].real, vec[self.strict].imag))
+
+    def step(self, x: np.ndarray, dt: float) -> np.ndarray:
+        """exp(dt L_R) x as a new array."""
         scaled = dt * self.norm
         if scaled == 0.0:
             m, s = 0, 1
@@ -320,7 +351,7 @@ class _Propagator:
             m, s = min(((k, int(np.ceil(scaled / theta))) for k, theta in _THETA.items()),
                        key=lambda ms: ms[0] * ms[1])
         eta = np.exp(dt * self.mu / s)
-        f = np.array(vec, dtype=np.complex128)
+        f = np.array(x, dtype=np.float64)
         for _ in range(s):
             b = f
             c1 = np.abs(b).max()
@@ -342,12 +373,17 @@ def _reachable_block(lv: sp.csr_matrix, vec: np.ndarray):
 
     A boolean sparse matvec grows the set until it stops growing.  Since no
     coordinate outside the set is coupled to one inside it, the sliced
-    generator propagates the state exactly.
+    generator propagates the state exactly.  Each step also adds the mirror
+    (j, i) of every coordinate (i, j), so the block carries Hermitian states
+    even where a stored zero breaks the symmetry of the pattern.
     """
+    d = math.isqrt(len(vec))
+    mirror = np.arange(d * d).reshape(d, d).T.reshape(-1)
     pattern = lv.astype(bool)
     reach = vec != 0
     while True:
         grown = reach | (pattern @ reach)
+        grown |= grown[mirror]
         if np.array_equal(grown, reach):
             break
         reach = grown
@@ -364,11 +400,14 @@ def evolve(
 ) -> TrajectoryResult:
     """Propagate rho0 from t = 0 through the increasing output ``times``.
 
-    The Liouvillian is sliced to the block reachable from the support of rho0
-    (see the module docstring) and a propagator is set up once for it (shift
-    and exact 1-norm); each step between consecutive output times takes the
-    Al-Mohy & Higham Taylor parameters for its length and works to double
-    precision, so there is no tolerance to choose.  ``states`` is a
+    rho0 must be Hermitian (to ``HERMITIAN_TOL``): the Liouvillian is sliced
+    to the block reachable from the support of rho0 (see the module
+    docstring), and a propagator is set up once for it in the real
+    coordinates of Hermitian states on that block (shift and exact 1-norm).
+    rho0 enters through its upper triangle.  Each step between consecutive
+    output times takes the Al-Mohy & Higham Taylor parameters for its length
+    and works to double precision, so there is no tolerance to choose; each
+    stored state is mapped back to complex coordinates.  ``states`` is a
     ``(len(times), d, d)`` array.  ``observables`` maps names to operators
     whose real expectation values are evaluated on all states in one
     product.  ``keep_states=False`` stores, of each state, only the reachable
@@ -383,22 +422,24 @@ def evolve(
     d = spec.dim
     if rho0.shape != (d, d):
         raise ValueError("initial state dimension mismatch")
+    if np.max(np.abs(rho0 - rho0.conj().T)) > HERMITIAN_TOL:
+        raise ValueError("initial state must be Hermitian")
 
     idx, lv_r = _reachable_block(liouvillian_matrix(spec), rho0.reshape(-1))
-    propagator = _Propagator(lv_r)
+    propagator = _Propagator(lv_r, idx, d)
     if keep_states:
-        support, dst, src = None, idx, slice(None)
+        support, dst, back = None, idx, propagator.to_block
     else:
         # Without kept states only the reachable coordinates the observables read are stored.
         support = np.intersect1d(idx, expectation_support(observables)) if observables else idx[:0]
-        dst, src = slice(None), np.searchsorted(idx, support)
+        dst, back = slice(None), propagator.to_block[np.searchsorted(idx, support)]
     stack = np.zeros((len(times), d * d if keep_states else len(support)), dtype=np.complex128)
-    vec, t_prev = rho0.reshape(-1)[idx], 0.0
+    x, t_prev = propagator.to_real(rho0.reshape(-1)[idx]), 0.0
     for k, t in enumerate(times):
         if t > t_prev:
-            vec = propagator.step(vec, t - t_prev)
+            x = propagator.step(x, t - t_prev)
             t_prev = t
-        stack[k, dst] = vec[src]
+        stack[k, dst] = back @ x
 
     expectations = {}
     if observables:

@@ -142,8 +142,11 @@ def test_exit_code_one_on_unknown_key(tmp_path, capsys):
     ("spectrum", {**TINY_RUNS["spectrum"], "spectrum.nu_point": "11"}),
     ("steady", {**FAST_STEADY, "outputs": "moments,entanglment"}),
     ("spectrum", {**TINY_RUNS["spectrum"], "spectrum.kappa_a": "0.3x"}),
+    ("qfunc", {**TINY_RUNS["qfunc"], "n_atoms": "4,6"}),
+    ("dynamics", {**TINY_RUNS["dynamics"], "n_atoms": "4", "dynamics.initial_m": "0.3"}),
 ], ids=["isotropic", "conventional", "spectrum-variable", "qfunc-variable",
-        "dynamics-key", "spectrum-key", "outputs-name", "spectrum-number"])
+        "dynamics-key", "spectrum-key", "outputs-name", "spectrum-number", "qfunc-n-list",
+        "dynamics-initial-m"])
 def test_rejected_config_exits_one_and_writes_nothing(tmp_path, capsys, command, cfg):
     out = tmp_path / "out"
     rc = cli.main([command, "--config", str(write_config(tmp_path, cfg)), "--jobs", "1",

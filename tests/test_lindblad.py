@@ -443,10 +443,30 @@ def test_evolve_single_large_step_matches_dense_expm():
     n, dt = 20, 20.0
     spec = gamma0_spec(n, h=1.0, lam=1.4, gamma_a=0.05, gamma_b=0.2)
     rho0 = all_up_state(n)
-    _, lv_r = lindblad._reachable_block(liouvillian_matrix(spec), rho0.reshape(-1))
-    assert dt * lindblad._Propagator(lv_r).norm > 10 * 63.4
+    idx, lv_r = lindblad._reachable_block(liouvillian_matrix(spec), rho0.reshape(-1))
+    assert dt * lindblad._Propagator(lv_r, idx, n + 1).norm > 10 * 63.4
     traj = evolve(spec, rho0, [dt])
     assert np.max(np.abs(traj.states - full_space_expm_states(spec, rho0, [dt]))) <= 1e-12
+
+
+def test_evolve_complex_generator_entries_match_dense_expm():
+    # Jy is imaginary in the Dicke basis and Jx + iJz is not Hermitian, so the
+    # Liouvillian has entries with both real and imaginary parts; the coherent
+    # start keeps the whole space.
+    n = 6
+    alg = build_algebra(n)
+    spec = LindbladSpec(
+        hamiltonian=0.7 * alg.jz + 0.5 * alg.jy + 0.3 * (alg.jx @ alg.jx),
+        dissipators=((0.15, alg.jx + 1j * alg.jz), (0.05, alg.jminus)),
+    )
+    lv = liouvillian_matrix(spec)
+    assert np.any((lv.data.real != 0) & (lv.data.imag != 0))
+    psi = _coherent_state(n, np.pi / 3, 0.4)
+    rho0 = np.outer(psi, psi.conj())
+    times = np.array([0.0, 0.05, 0.3, 1.7, 4.0])
+    traj = evolve(spec, rho0, times)
+    assert traj.block_size == (n + 1) ** 2
+    assert np.max(np.abs(traj.states - full_space_expm_states(spec, rho0, times))) <= 1e-12
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -476,12 +496,32 @@ def test_evolve_isotropic_from_dicke_state_stays_diagonal():
         assert abs(np.trace(state) - 1.0) <= 1e-12
 
 
+def test_evolve_one_sided_coherence_keeps_states_hermitian():
+    # Within the Hermiticity check rho0 may hold a coherence on one side only.
+    # For gamma = +1 the sector i - j = -1 never reaches i - j = +1, so only
+    # the mirror step of the reachable block lets the states come out
+    # exactly Hermitian.
+    n = 6
+    params = LMGParams(n_atoms=n, h=1.0, lam=1.3, gamma_anisotropy=1, Gamma_a=0.05, Gamma_b=0.2)
+    spec = build_isotropic(params, build_algebra(n))
+    rho0 = dicke_state(n, 1.0)
+    rho0[2, 3] = 1e-13
+    traj = evolve(spec, rho0, np.linspace(0.0, 3.0, 4))
+    assert traj.block_size == 3 * n + 1
+    assert all(np.array_equal(state, state.conj().T) for state in traj.states)
+    assert traj.states[-1, 2, 3] != 0
+
+
 def test_evolve_rejects_bad_times():
     spec = gamma0_spec(2, h=1.0, lam=0.5, gamma_a=0.0, gamma_b=0.2)
     with pytest.raises(ValueError):
         evolve(spec, all_up_state(2), [0.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         evolve(spec, all_up_state(2), [-1.0, 1.0])
+    skew = all_up_state(2)
+    skew[0, 1] = 0.1j
+    with pytest.raises(ValueError, match="Hermitian"):
+        evolve(spec, skew, [0.0, 1.0])
 
 
 def test_trajectory_expectations():
