@@ -12,8 +12,11 @@ rejected there, with exit code 1 and ``config error``, for an unknown key
 checked against the keys any command reads, so a preset runs under another
 command), an unknown name in ``outputs``, a ``sweep.variable`` other than
 ``lambda`` or ``h``, a ``model`` other than ``gamma0`` (the CLI runs the
-gamma=0 model only), a malformed value, a list of N for ``qfunc``, or a
-``dynamics.initial_m`` that is no spin projection m of some N in the sweep.
+gamma=0 model only), a malformed value, a list of N for ``qfunc``, a
+``dynamics.initial_m`` that is no spin projection m of some N in the sweep,
+or, under ``spectrum``, a model key other than ``lambda``, ``h`` and
+``model`` (the spectrum derives its own parameters, so ``gamma_a``,
+``gamma_b``, ``n_atoms`` and ``micro.*`` would be ignored).
 
 Sweep points are independent solves dispatched to a worker pool; results are
 collected and written in point order.  The OpenBLAS copies bundled with
@@ -52,7 +55,8 @@ import scipy
 from . import __version__
 from .lindblad import evolve, steady_state
 from .models import ConfigError, LMGParams, build_gamma0, model_params_from_config, parse_config_text
-from .observables import entanglement_curve, hp_entanglement, spin_qfunction, trajectory_moments
+from .observables import (_moment_operators, entanglement_curve, hp_entanglement,
+                          spin_qfunction, trajectory_moments)
 from .operators import all_up_state, build_algebra, dicke_state, expectation
 from .presets import PRESETS
 from .hp import (
@@ -262,6 +266,11 @@ def _plan_dynamics(cli_cfg, model_cfg, variable, outputs) -> _Plan:
 
 
 def _plan_spectrum(cli_cfg, model_cfg, variable, outputs) -> _Plan:
+    ignored = sorted(key for key in model_cfg if key not in ("model", "lambda", "h"))
+    if ignored:
+        hint = "; the spectrum's gamma_b is spectrum.gamma_b" if "gamma_b" in ignored else ""
+        raise ConfigError(f"spectrum reads only lambda and h of the model block, "
+                          f"not {ignored}{hint}")
     values = _value_list(cli_cfg, "spectrum.values")
     lam, h = _number(model_cfg, "lambda", 1.0), _number(model_cfg, "h", 1.0)
     cavity = {key: _number(cli_cfg, f"spectrum.{key}")
@@ -418,9 +427,10 @@ def _dynamics_point(task):
     if outputs & {"entanglement", "moments"}:
         algebra = build_algebra(params.n_atoms)
         rho0 = all_up_state(params.n_atoms) if m0 is None else dicke_state(params.n_atoms, m0)
-        traj = evolve(build_gamma0(params, algebra), rho0, times)
+        traj = evolve(build_gamma0(params, algebra), rho0, times,
+                      observables=_moment_operators(algebra), keep_states=False)
         record = {"block_size": traj.block_size, "matvecs": traj.matvecs}
-        moments = trajectory_moments(traj.states, algebra)
+        moments = trajectory_moments(traj.expectations, params.n_atoms)
         j2 = (params.n_atoms / 2.0) ** 2
         table["c_r"] = moments["c_r"]
         for name in ("jx2", "jy2", "jz2"):

@@ -58,9 +58,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .operators import HERMITIAN_TOL, Operator, expectation_support, expectation_values
+from .operators import expectation_support, expectation_values
 
 logger = logging.getLogger(__name__)
+
+# Largest |rho - rho^+| entry that :func:`evolve` accepts in an initial state.
+HERMITIAN_TOL = 1e-12
+
 
 class SteadyStateError(RuntimeError):
     """Steady-state solve failed; carries the best residual achieved."""
@@ -76,29 +80,41 @@ class NonUniqueSteadyStateError(SteadyStateError):
 
 @dataclass(frozen=True)
 class LindbladSpec:
-    """Hamiltonian plus (rate, collapse operator) pairs in the factor-2 D convention."""
+    """Hamiltonian plus (rate, collapse operator) pairs in the factor-2 D convention.
 
-    hamiltonian: Operator
+    The operators may be given as scipy sparse matrices or dense arrays; they
+    are stored as complex CSR.  The Hamiltonian must be square and Hermitian
+    to 1e-10 in every entry, each rate >= 0 and each collapse operator of the
+    Hamiltonian's shape.
+    """
+
+    hamiltonian: sp.csr_matrix
     dissipators: tuple = ()
 
     def __post_init__(self):
-        if not self.hamiltonian.is_hermitian(1e-10):
+        csr = lambda op: sp.csr_matrix(op, dtype=np.complex128)
+        h = csr(self.hamiltonian)
+        if h.shape[0] != h.shape[1]:
+            raise ValueError(f"hamiltonian must be square, got shape {h.shape}")
+        if abs(h - h.conj().T).max() > 1e-10:
             raise ValueError("hamiltonian must be Hermitian")
-        for rate, op in self.dissipators:
+        dissipators = tuple((rate, csr(op)) for rate, op in self.dissipators)
+        for rate, op in dissipators:
             if rate < 0:
                 raise ValueError(f"dissipator rate must be >= 0, got {rate}")
-            if op.dim != self.dim:
+            if op.shape != h.shape:
                 raise ValueError("dissipator dimension mismatch")
-        object.__setattr__(self, "dissipators", tuple(self.dissipators))
+        object.__setattr__(self, "hamiltonian", h)
+        object.__setattr__(self, "dissipators", dissipators)
 
     @property
     def dim(self) -> int:
-        return self.hamiltonian.dim
+        return self.hamiltonian.shape[0]
 
 
 @dataclass
 class TrajectoryResult:
-    """Output of :func:`evolve`: times, a (T, d, d) state stack, and optional expectation values.
+    """Output of :func:`evolve`: times, a (T, d, d) state stack, and complex expectation values.
 
     ``block_size`` is the number of vec coordinates propagated and
     ``matvecs`` the number of sparse products the propagation took.
@@ -116,10 +132,10 @@ def liouvillian_apply(spec: LindbladSpec, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (spec.dim, spec.dim):
         raise ValueError(f"dimension mismatch: spec dim {spec.dim}, state {rho.shape}")
-    h = spec.hamiltonian.dense()
+    h = spec.hamiltonian.toarray()
     out = -1j * (h @ rho - rho @ h)
     for rate, op in spec.dissipators:
-        a = op.dense()
+        a = op.toarray()
         ad = a.conj().T
         ada = ad @ a
         out += rate * (2.0 * (a @ rho @ ad) - ada @ rho - rho @ ada)
@@ -130,10 +146,9 @@ def liouvillian_matrix(spec: LindbladSpec) -> sp.csr_matrix:
     """Sparse vectorized Liouvillian (row-major vec convention)."""
     d = spec.dim
     ident = sp.identity(d, dtype=np.complex128, format="csr")
-    h = spec.hamiltonian.sparse()
+    h = spec.hamiltonian
     lv = -1j * (sp.kron(h, ident) - sp.kron(ident, h.T))
-    for rate, op in spec.dissipators:
-        a = op.sparse()
+    for rate, a in spec.dissipators:
         ad = a.conj().T.tocsr()
         ada = (ad @ a).tocsr()
         lv = lv + rate * (
@@ -409,8 +424,9 @@ def evolve(
     and works to double precision, so there is no tolerance to choose; each
     stored state is mapped back to complex coordinates.  ``states`` is a
     ``(len(times), d, d)`` array.  ``observables`` maps names to operators
-    whose real expectation values are evaluated on all states in one
-    product.  ``keep_states=False`` stores, of each state, only the reachable
+    whose expectation values Tr(op rho(t)) are evaluated on all states in one
+    product; they are complex arrays, since an operator such as J+^2 need not
+    be Hermitian.  ``keep_states=False`` stores, of each state, only the reachable
     coordinates the observables read, and returns no states.
     """
     times = np.asarray(times, dtype=float)
@@ -441,14 +457,10 @@ def evolve(
             t_prev = t
         stack[k, dst] = back @ x
 
-    expectations = {}
-    if observables:
-        values = expectation_values(observables, stack, support)
-        expectations = {name: v.real for name, v in values.items()}
     return TrajectoryResult(
         times=times,
         states=stack.reshape(len(times), d, d) if keep_states else None,
-        expectations=expectations,
+        expectations=expectation_values(observables, stack, support) if observables else {},
         block_size=len(idx),
         matvecs=propagator.matvecs,
     )

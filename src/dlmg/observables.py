@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hp import MomentState
-from .operators import DickeAlgebra, expectation, expectation_values
+from .operators import DickeAlgebra, expectation
 
 logger = logging.getLogger(__name__)
 
@@ -67,19 +67,19 @@ def _second_moments(rho: np.ndarray, algebra: DickeAlgebra) -> dict:
     return {name: v if name == "jp2" else v.real for name, v in moments.items()}
 
 
-def trajectory_moments(states: np.ndarray, algebra: DickeAlgebra) -> dict:
-    """Collective moments and C_R along a (T, d, d) stack of states.
+def trajectory_moments(values: dict, n_spins: int) -> dict:
+    """Collective moments and C_R along a trajectory of N = ``n_spins`` spins.
 
-    The moments are evaluated for all states in one linear map
-    (:func:`expectation_values`); ``"c_r"`` holds the rescaled concurrence of
-    each state, from the same moments.  Every value is an array of length T.
+    ``values`` holds the complex expectation values of the operators of
+    :func:`_moment_operators`, one array of length T each, as
+    :func:`expectation_values` or ``evolve(observables=...)`` return them.
+    The moments are their real parts, but ``"jp2"`` (<J+^2>) stays complex;
+    ``"c_r"`` holds the rescaled concurrence at each time.
     """
-    values = expectation_values(_moment_operators(algebra), states)
     moments = {name: v if name == "jp2" else v.real for name, v in values.items()}
-    n = algebra.n_spins
     moments["c_r"] = np.array([
-        _rescaled_concurrence_from_moments({name: v[k] for name, v in moments.items()}, n)
-        for k in range(len(states))
+        _rescaled_concurrence_from_moments({name: v[k] for name, v in moments.items()}, n_spins)
+        for k in range(len(moments["jz"]))
     ])
     return moments
 

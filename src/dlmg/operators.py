@@ -5,129 +5,31 @@ has dimension N + 1.  Basis ordering is m descending from +j, so index 0 is
 the all-spins-up state |j, j> and index N is |j, -j>.  Every other module
 inherits this ordering.
 
-Operators are stored dense below ``DENSE_CUTOFF`` and as CSR sparse matrices
-above it; the ladder operators are banded, so sparse storage is what matters
-once Liouvillian assembly enters the picture.
+The collective operators are complex CSR matrices (``scipy.sparse``) at every
+N: Jz is diagonal and J+- are single off-diagonal bands, so their products
+and the Liouvillians built from them stay sparse.  Exact zeros (the m = 0
+entry of Jz at even N) are not stored.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-# Dimension above which operator matrices are kept sparse.
-DENSE_CUTOFF = 64
-
-HERMITIAN_TOL = 1e-12
-
-
-class Operator:
-    """Square complex matrix acting on the (N+1)-dimensional Dicke sector.
-
-    Thin wrapper around a dense ndarray or a scipy CSR matrix; arithmetic
-    (`@`, `+`, `-`, scalar `*`) delegates to the underlying storage.
-    """
-
-    __slots__ = ("data", "dim")
-
-    def __init__(self, data):
-        if sp.issparse(data):
-            data = data.tocsr().astype(np.complex128)
-        else:
-            data = np.asarray(data, dtype=np.complex128)
-            if data.ndim != 2:
-                raise ValueError("operator data must be a 2-d matrix")
-        if data.shape[0] != data.shape[1]:
-            raise ValueError(f"operator must be square, got shape {data.shape}")
-        self.data = data
-        self.dim = data.shape[0]
-
-    @classmethod
-    def from_matrix(cls, mat, dense_cutoff: int = DENSE_CUTOFF) -> "Operator":
-        """Wrap ``mat``, choosing dense/sparse storage by dimension."""
-        op = cls(mat)
-        if op.dim > dense_cutoff and not sp.issparse(op.data):
-            op.data = sp.csr_matrix(op.data)
-        elif op.dim <= dense_cutoff and sp.issparse(op.data):
-            op.data = op.data.toarray()
-        return op
-
-    def dense(self) -> np.ndarray:
-        """Return the matrix as a dense ndarray."""
-        if sp.issparse(self.data):
-            return self.data.toarray()
-        return self.data
-
-    def sparse(self) -> sp.csr_matrix:
-        """Return the matrix in CSR form."""
-        if sp.issparse(self.data):
-            return self.data
-        return sp.csr_matrix(self.data)
-
-    def dag(self) -> "Operator":
-        """Hermitian conjugate."""
-        if sp.issparse(self.data):
-            return Operator(self.data.conj().T.tocsr())
-        return Operator(self.data.conj().T)
-
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        a = self.dense()
-        return bool(np.max(np.abs(a - a.conj().T)) <= tol)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Operator):
-            return other.data
-        return other
-
-    def __matmul__(self, other):
-        result = self.data @ self._coerce(other)
-        return Operator(result) if isinstance(other, Operator) else result
-
-    def __add__(self, other):
-        return Operator(self.data + self._coerce(other))
-
-    def __sub__(self, other):
-        return Operator(self.data - self._coerce(other))
-
-    def __mul__(self, scalar):
-        return Operator(self.data * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Operator(-self.data)
-
-    def __repr__(self):
-        kind = "sparse" if sp.issparse(self.data) else "dense"
-        return f"Operator(dim={self.dim}, {kind})"
-
-    def to_json(self) -> str:
-        """Debug dump: ``{dim, triplets: [[row, col, re, im], ...]}``."""
-        coo = self.sparse().tocoo()
-        triplets = [
-            [int(r), int(c), float(v.real), float(v.imag)]
-            for r, c, v in zip(coo.row, coo.col, coo.data)
-        ]
-        return json.dumps({"dim": self.dim, "triplets": triplets})
-
 
 @dataclass(frozen=True)
 class DickeAlgebra:
-    """Collective spin operators for N spin-1/2 particles, j = N/2 sector."""
+    """Collective spin operators for N spin-1/2 particles, j = N/2 sector, as complex CSR."""
 
     n_spins: int
     j: float
-    jx: Operator
-    jy: Operator
-    jz: Operator
-    jplus: Operator
-    jminus: Operator
-    identity: Operator = field(repr=False, default=None)
+    jx: sp.csr_matrix
+    jy: sp.csr_matrix
+    jz: sp.csr_matrix
+    jplus: sp.csr_matrix
+    jminus: sp.csr_matrix
 
     @property
     def dim(self) -> int:
@@ -148,26 +50,30 @@ def build_algebra(n_spins: int) -> DickeAlgebra:
     dim = n + 1
     m = j - np.arange(dim)  # m values by basis index, +j first
 
-    jz_mat = np.diag(m.astype(np.complex128))
     # J+|j,m> = sqrt(j(j+1) - m(m+1)) |j,m+1>; index i -> i-1 is m -> m+1.
     src_m = m[1:]
     ladder = np.sqrt(j * (j + 1) - src_m * (src_m + 1)).astype(np.complex128)
-    jp_mat = np.diag(ladder, k=1)
-    jm_mat = np.diag(ladder, k=-1)
-    jx_mat = (jp_mat + jm_mat) / 2.0
-    jy_mat = (jp_mat - jm_mat) / 2j
-
-    wrap = lambda a: Operator.from_matrix(a)
+    # Jy = (J+ - J-) / 2i entry by entry; 0 - ladder (not -ladder) keeps the
+    # real parts +0, as the matrix difference gives them.
     return DickeAlgebra(
         n_spins=n,
         j=j,
-        jx=wrap(jx_mat),
-        jy=wrap(jy_mat),
-        jz=wrap(jz_mat),
-        jplus=wrap(jp_mat),
-        jminus=wrap(jm_mat),
-        identity=wrap(np.eye(dim, dtype=np.complex128)),
+        jx=_tridiagonal(dim, ladder / 2.0, 0.0, ladder / 2.0),
+        jy=_tridiagonal(dim, (0.0 - ladder) / 2j, 0.0, ladder / 2j),
+        jz=_tridiagonal(dim, 0.0, m, 0.0),
+        jplus=_tridiagonal(dim, 0.0, 0.0, ladder),
+        jminus=_tridiagonal(dim, ladder, 0.0, 0.0),
     )
+
+
+def _tridiagonal(dim: int, lower, diag, upper) -> sp.csr_matrix:
+    """Complex CSR matrix with the given sub-, main and super-diagonal; zeros are not stored."""
+    band = np.zeros((dim, 3), dtype=np.complex128)
+    band[1:, 0], band[:, 1], band[:-1, 2] = lower, diag, upper
+    cols = np.arange(dim)[:, None] + np.arange(-1, 2)
+    keep = band != 0
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    return sp.csr_matrix((band[keep], cols[keep], indptr), shape=(dim, dim))
 
 
 def all_up_state(n_spins: int) -> np.ndarray:
@@ -193,24 +99,22 @@ def dicke_state(n_spins: int, m: float) -> np.ndarray:
 def expectation(op, rho: np.ndarray) -> complex:
     """Trace(op @ rho).
 
-    ``op`` may be an Operator, ndarray, or scipy sparse matrix; ``rho`` is a
-    density matrix (plain ndarray).
+    ``op`` is a scipy sparse matrix, such as the operators of
+    :class:`DickeAlgebra`, or a dense ndarray; ``rho`` is a density matrix
+    (plain ndarray).
     """
-    mat = op.data if isinstance(op, Operator) else op
     rho = np.asarray(rho)
-    dim = mat.shape[0]
-    if rho.shape != (dim, dim):
-        raise ValueError(f"dimension mismatch: operator {mat.shape}, state {rho.shape}")
-    if sp.issparse(mat):
-        return complex(mat.multiply(rho.T).sum())
-    return complex(np.sum(mat * rho.T))
+    if rho.shape != (op.shape[0], op.shape[0]):
+        raise ValueError(f"dimension mismatch: operator {op.shape}, state {rho.shape}")
+    if sp.issparse(op):
+        return complex(op.multiply(rho.T).sum())
+    return complex(np.sum(op * rho.T))
 
 
 def _vec_rows(ops: dict) -> sp.csr_matrix:
     """One sparse row vec(op^T) per operator, so that Tr(op @ rho) = vec(op^T) . vec(rho)."""
-    mats = [op.data if isinstance(op, Operator) else op for op in ops.values()]
-    d = mats[0].shape[0]
-    return sp.vstack([sp.csr_matrix(mat.T).reshape(1, d * d) for mat in mats]).tocsr()
+    d = next(iter(ops.values())).shape[0]
+    return sp.vstack([sp.csr_matrix(op.T).reshape(1, d * d) for op in ops.values()]).tocsr()
 
 
 def expectation_support(ops: dict) -> np.ndarray:
@@ -240,7 +144,6 @@ def expectation_values(ops: dict, states: np.ndarray, support=None) -> dict:
 
 
 def commutator(a, b) -> np.ndarray:
-    """[a, b] as a dense matrix."""
-    am = a.dense() if isinstance(a, Operator) else np.asarray(a)
-    bm = b.dense() if isinstance(b, Operator) else np.asarray(b)
+    """[a, b] as a dense matrix, for sparse or dense ``a`` and ``b``."""
+    am, bm = (m.toarray() if sp.issparse(m) else np.asarray(m) for m in (a, b))
     return am @ bm - bm @ am

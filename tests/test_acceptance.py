@@ -298,7 +298,7 @@ def test_criterion_9_invariant_suite():
     # commutators and Casimir across the N grid
     for n in (1, 2, 5, 25, 100):
         alg = build_algebra(n)
-        jx, jy, jz = alg.jx.dense(), alg.jy.dense(), alg.jz.dense()
+        jx, jy, jz = alg.jx.toarray(), alg.jy.toarray(), alg.jz.toarray()
         checks.append(np.max(np.abs(commutator(jx, jy) - 1j * jz)) <= 1e-12)
         cas = jx @ jx + jy @ jy + jz @ jz - alg.j * (alg.j + 1) * np.eye(n + 1)
         checks.append(np.max(np.abs(cas)) <= 1e-10)

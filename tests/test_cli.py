@@ -144,9 +144,14 @@ def test_exit_code_one_on_unknown_key(tmp_path, capsys):
     ("spectrum", {**TINY_RUNS["spectrum"], "spectrum.kappa_a": "0.3x"}),
     ("qfunc", {**TINY_RUNS["qfunc"], "n_atoms": "4,6"}),
     ("dynamics", {**TINY_RUNS["dynamics"], "n_atoms": "4", "dynamics.initial_m": "0.3"}),
+    ("spectrum", {**TINY_RUNS["spectrum"], "gamma_a": "0.01"}),
+    ("spectrum", {**TINY_RUNS["spectrum"], "gamma_b": "0.2"}),
+    ("spectrum", {**TINY_RUNS["spectrum"], "n_atoms": "50"}),
+    ("spectrum", {**TINY_RUNS["spectrum"], "micro.kappa_a": "0.3"}),
 ], ids=["isotropic", "conventional", "spectrum-variable", "qfunc-variable",
         "dynamics-key", "spectrum-key", "outputs-name", "spectrum-number", "qfunc-n-list",
-        "dynamics-initial-m"])
+        "dynamics-initial-m", "spectrum-gamma-a", "spectrum-gamma-b", "spectrum-n-atoms",
+        "spectrum-micro"])
 def test_rejected_config_exits_one_and_writes_nothing(tmp_path, capsys, command, cfg):
     out = tmp_path / "out"
     rc = cli.main([command, "--config", str(write_config(tmp_path, cfg)), "--jobs", "1",
@@ -154,6 +159,13 @@ def test_rejected_config_exits_one_and_writes_nothing(tmp_path, capsys, command,
     assert rc == 1
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_spectrum_gamma_b_error_names_the_cavity_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**TINY_RUNS["spectrum"], "gamma_b": "0.2"})
+    rc = cli.main(["spectrum", "--config", str(cfg), "--jobs", "1", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "spectrum.gamma_b" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("blocked", ["out", "csv"])

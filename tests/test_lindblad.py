@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
@@ -22,8 +23,8 @@ from dlmg.lindblad import (
     validate_density_matrix,
 )
 from dlmg.models import LMGParams, build_conventional, build_gamma0, build_isotropic
-from dlmg.observables import _coherent_state, trajectory_moments
-from dlmg.operators import Operator, all_up_state, build_algebra, dicke_state, expectation
+from dlmg.observables import _coherent_state, _moment_operators, trajectory_moments
+from dlmg.operators import all_up_state, build_algebra, dicke_state, expectation, expectation_values
 
 
 def elementwise_superoperator(h, dissipators):
@@ -84,7 +85,7 @@ def test_apply_all_up_dark_state_of_pump():
 def test_apply_matches_elementwise_superoperator_n2():
     spec = gamma0_spec(2, h=1.0, lam=1.0, gamma_a=0.01, gamma_b=0.2)
     lv_oracle = elementwise_superoperator(
-        spec.hamiltonian.dense(), [(r, op.dense()) for r, op in spec.dissipators]
+        spec.hamiltonian.toarray(), [(r, op.toarray()) for r, op in spec.dissipators]
     )
     rho = maximally_mixed(3)
     direct = liouvillian_apply(spec, rho)
@@ -125,9 +126,9 @@ def test_factor_two_dissipator_convention():
     # pinning the factor-2 convention.
     alg = build_algebra(1)
     g = 0.37
-    spec = LindbladSpec(hamiltonian=Operator(np.zeros((2, 2))), dissipators=((g, alg.jminus),))
+    spec = LindbladSpec(hamiltonian=np.zeros((2, 2)), dissipators=((g, alg.jminus),))
     drho = liouvillian_apply(spec, all_up_state(1))
-    djz = np.trace(alg.jz.dense() @ drho).real
+    djz = np.trace(alg.jz.toarray() @ drho).real
     assert djz == pytest.approx(-2.0 * g, abs=1e-14)
 
 
@@ -144,7 +145,7 @@ def test_steady_state_dark_state():
 def test_steady_state_matches_null_space(n):
     spec = gamma0_spec(n, h=1.0, lam=0.9, gamma_a=0.015, gamma_b=0.22)
     lv = elementwise_superoperator(
-        spec.hamiltonian.dense(), [(r, op.dense()) for r, op in spec.dissipators]
+        spec.hamiltonian.toarray(), [(r, op.toarray()) for r, op in spec.dissipators]
     )
     ns = null_space(lv, rcond=1e-12)
     assert ns.shape[1] == 1
@@ -165,7 +166,7 @@ def test_steady_state_requires_dissipator():
 def test_steady_state_flags_degenerate_kernel():
     # Pure dephasing D[Jz] leaves every diagonal state stationary.
     alg = build_algebra(3)
-    spec = LindbladSpec(hamiltonian=Operator(np.zeros((4, 4))), dissipators=((0.5, alg.jz),))
+    spec = LindbladSpec(hamiltonian=np.zeros((4, 4)), dissipators=((0.5, alg.jz),))
     with pytest.raises(NonUniqueSteadyStateError):
         steady_state(spec, tol=1e-10)
 
@@ -278,8 +279,8 @@ def test_steady_state_flags_odd_sector_degeneracy():
     # and leaves sigma_x stationary in the odd block: a second steady state
     # that only the complement factorization sees.
     alg = build_algebra(1)
-    spec = LindbladSpec(hamiltonian=Operator(np.zeros((2, 2))), dissipators=((0.5, alg.jx),))
-    sigma_x = 2.0 * alg.jx.dense()
+    spec = LindbladSpec(hamiltonian=np.zeros((2, 2)), dissipators=((0.5, alg.jx),))
+    sigma_x = 2.0 * alg.jx.toarray()
     assert np.max(np.abs(liouvillian_apply(spec, sigma_x))) == 0.0
     rho = steady_state(spec, tol=1e-10, check_unique=False)
     assert np.max(np.abs(rho - maximally_mixed(2))) <= 1e-15
@@ -318,7 +319,7 @@ def test_evolve_pump_up_matches_dense_propagator():
     assert jz[-1] > 1.9
 
     lv = elementwise_superoperator(
-        spec.hamiltonian.dense(), [(r, op.dense()) for r, op in spec.dissipators]
+        spec.hamiltonian.toarray(), [(r, op.toarray()) for r, op in spec.dissipators]
     )
     for idx in (3, 7, 16):
         rho_oracle = (expm(lv * times[idx]) @ rho0.reshape(-1)).reshape(5, 5)
@@ -483,7 +484,8 @@ def test_evolve_keeps_trace_hermiticity_and_cr_bound(n, h, lam, gamma_a, gamma_b
     states = evolve(spec, all_up_state(n), np.linspace(0.0, t_end, 9)).states
     assert np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)) <= 1e-12
     assert np.max(np.abs(states - states.conj().transpose(0, 2, 1))) <= 1e-12
-    assert np.all(trajectory_moments(states, build_algebra(n))["c_r"] <= 1.0)
+    values = expectation_values(_moment_operators(build_algebra(n)), states)
+    assert np.all(trajectory_moments(values, n)["c_r"] <= 1.0)
 
 
 def test_evolve_isotropic_from_dicke_state_stays_diagonal():
@@ -539,7 +541,18 @@ def test_trajectory_expectations():
 
 def test_spec_validation():
     alg = build_algebra(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Hermitian"):
         LindbladSpec(hamiltonian=alg.jplus)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rate"):
         LindbladSpec(hamiltonian=alg.jz, dissipators=((-0.1, alg.jminus),))
+    with pytest.raises(ValueError, match="dimension"):
+        LindbladSpec(hamiltonian=alg.jz, dissipators=((0.1, build_algebra(3).jminus),))
+    with pytest.raises(ValueError, match="square"):
+        LindbladSpec(hamiltonian=np.zeros((3, 2)))
+    # Hermitian to 1e-10 per entry: a 1e-13 skew is rounding and is accepted.
+    with pytest.raises(ValueError, match="Hermitian"):
+        LindbladSpec(hamiltonian=np.array([[1.0, 1e-9], [0.0, 2.0]]))
+    spec = LindbladSpec(hamiltonian=np.array([[1.0, 1e-13], [0.0, 2.0]]),
+                        dissipators=((0.5, alg.jminus[:2, :2].toarray()),))
+    for op in (spec.hamiltonian, spec.dissipators[0][1]):
+        assert isinstance(op, sp.csr_matrix) and op.dtype == np.complex128

@@ -100,14 +100,14 @@ def test_dispersive_shifts_reported_but_informational():
 def test_gamma0_free_field_limit():
     params = LMGParams(n_atoms=2, h=1.0, lam=0.0, Gamma_a=0.0, Gamma_b=0.0)
     spec = build_gamma0(params, build_algebra(2))
-    assert np.allclose(spec.hamiltonian.dense(), np.diag([-2.0, 0.0, 2.0]))
+    assert np.allclose(spec.hamiltonian.toarray(), np.diag([-2.0, 0.0, 2.0]))
 
 
 def test_gamma0_commutes_with_jx_at_zero_field():
     params = LMGParams(n_atoms=4, h=0.0, lam=1.0, Gamma_a=0.0, Gamma_b=0.0)
     alg = build_algebra(4)
     spec = build_gamma0(params, alg)
-    assert np.max(np.abs(commutator(spec.hamiltonian.dense(), alg.jx.dense()))) <= 1e-12
+    assert np.max(np.abs(commutator(spec.hamiltonian.toarray(), alg.jx.toarray()))) <= 1e-12
 
 
 def test_gamma0_dissipator_structure():
@@ -116,14 +116,14 @@ def test_gamma0_dissipator_structure():
     spec = build_gamma0(params, alg)
     rates = [r for r, _ in spec.dissipators]
     assert rates == pytest.approx([0.03 / 5, 0.4 / 5])
-    assert np.allclose(spec.dissipators[0][1].dense(), 2.0 * alg.jx.dense())
-    assert np.allclose(spec.dissipators[1][1].dense(), alg.jplus.dense())
+    assert np.allclose(spec.dissipators[0][1].toarray(), 2.0 * alg.jx.toarray())
+    assert np.allclose(spec.dissipators[1][1].toarray(), alg.jplus.toarray())
 
 
 def test_gamma0_ground_state_nondegenerate_below_critical():
     params = LMGParams(n_atoms=50, h=1.0, lam=1.0, Gamma_a=0.01, Gamma_b=0.2)
     spec = build_gamma0(params, build_algebra(50))
-    h = spec.hamiltonian.dense()
+    h = spec.hamiltonian.toarray()
     assert np.max(np.abs(h - h.conj().T)) <= 1e-12
     evals = np.linalg.eigvalsh(h)
     assert evals[1] - evals[0] > 1e-6
@@ -134,9 +134,9 @@ def test_conventional_hamiltonian_identity():
     params = LMGParams(n_atoms=2, h=0.0, lam=1.0, gamma_anisotropy=-1, Gamma_a=0.1, Gamma_b=0.1)
     alg = build_algebra(2)
     spec = build_conventional(params, alg, alpha=0.6, beta=0.6)
-    jp, jm = alg.jplus.dense(), alg.jminus.dense()
+    jp, jm = alg.jplus.toarray(), alg.jminus.toarray()
     expected = -(2.0 * 1.0 / 2.0) * 0.5 * (jp @ jp + jm @ jm)
-    assert np.max(np.abs(spec.hamiltonian.dense() - expected)) <= 1e-13
+    assert np.max(np.abs(spec.hamiltonian.toarray() - expected)) <= 1e-13
 
 
 def test_conventional_symmetric_split():
@@ -150,14 +150,14 @@ def test_conventional_symmetric_split():
 
 def test_parity_symmetry_conventional_and_isotropic():
     alg = build_algebra(10)
-    parity = np.diag(np.exp(1j * np.pi * np.diag(alg.jz.dense())))
+    parity = np.diag(np.exp(1j * np.pi * np.diag(alg.jz.toarray())))
     pc = LMGParams(n_atoms=10, h=0.7, lam=1.1, gamma_anisotropy=-1, Gamma_a=0.1, Gamma_b=0.1)
     pi = LMGParams(n_atoms=10, h=0.7, lam=1.1, gamma_anisotropy=1, Gamma_a=0.1, Gamma_b=0.2)
     for spec in (
         build_conventional(pc, alg, alpha=0.7, beta=0.3),
         build_isotropic(pi, alg),
     ):
-        h = spec.hamiltonian.dense()
+        h = spec.hamiltonian.toarray()
         assert np.max(np.abs(commutator(h, parity))) <= 1e-12
 
 
@@ -165,24 +165,24 @@ def test_isotropic_commutes_with_jz():
     alg = build_algebra(8)
     params = LMGParams(n_atoms=8, h=0.9, lam=1.3, gamma_anisotropy=1, Gamma_a=0.05, Gamma_b=0.1)
     spec = build_isotropic(params, alg)
-    assert np.max(np.abs(commutator(spec.hamiltonian.dense(), alg.jz.dense()))) <= 1e-12
+    assert np.max(np.abs(commutator(spec.hamiltonian.toarray(), alg.jz.toarray()))) <= 1e-12
 
 
 def test_isotropic_casimir_form_at_zero_field():
     alg = build_algebra(2)
     params = LMGParams(n_atoms=2, h=0.0, lam=1.0, gamma_anisotropy=1, Gamma_a=0.0, Gamma_b=0.0)
     spec = build_isotropic(params, alg)
-    j2 = alg.jx.dense() @ alg.jx.dense() + alg.jy.dense() @ alg.jy.dense() + alg.jz.dense() @ alg.jz.dense()
-    expected = -(2.0 / 2.0) * (j2 - alg.jz.dense() @ alg.jz.dense())
-    assert np.max(np.abs(spec.hamiltonian.dense() - expected)) <= 1e-13
+    j2 = alg.jx.toarray() @ alg.jx.toarray() + alg.jy.toarray() @ alg.jy.toarray() + alg.jz.toarray() @ alg.jz.toarray()
+    expected = -(2.0 / 2.0) * (j2 - alg.jz.toarray() @ alg.jz.toarray())
+    assert np.max(np.abs(spec.hamiltonian.toarray() - expected)) <= 1e-13
 
 
 def test_isotropic_matches_gamma0_at_zero_coupling():
     alg = build_algebra(4)
     pi = LMGParams(n_atoms=4, h=1.0, lam=0.0, gamma_anisotropy=1, Gamma_a=0.0, Gamma_b=0.2)
     p0 = LMGParams(n_atoms=4, h=1.0, lam=0.0, gamma_anisotropy=0, Gamma_a=0.0, Gamma_b=0.2)
-    hi = build_isotropic(pi, alg).hamiltonian.dense()
-    h0 = build_gamma0(p0, alg).hamiltonian.dense()
+    hi = build_isotropic(pi, alg).hamiltonian.toarray()
+    h0 = build_gamma0(p0, alg).hamiltonian.toarray()
     assert np.max(np.abs(hi - h0)) <= 1e-14
 
 
@@ -203,7 +203,7 @@ def test_conventional_steady_state_parity_symmetric():
     alg = build_algebra(12)
     params = LMGParams(n_atoms=12, h=0.8, lam=1.1, gamma_anisotropy=-1, Gamma_a=0.1, Gamma_b=0.1)
     rho = steady_state(build_conventional(params, alg, alpha=0.8, beta=0.6), tol=1e-12)
-    parity = np.diag(np.exp(1j * np.pi * np.diag(alg.jz.dense())))
+    parity = np.diag(np.exp(1j * np.pi * np.diag(alg.jz.toarray())))
     assert np.max(np.abs(parity @ rho - rho @ parity)) <= 1e-10
 
 
@@ -222,7 +222,7 @@ def test_scale_covariance():
     scaled = LMGParams(n_atoms=6, h=s * 0.8, lam=s * 1.4, Gamma_a=s * 0.02, Gamma_b=s * 0.3)
     alg = build_algebra(6)
     spec_b, spec_s = build_gamma0(base, alg), build_gamma0(scaled, alg)
-    assert np.max(np.abs(spec_s.hamiltonian.dense() - s * spec_b.hamiltonian.dense())) <= 1e-12
+    assert np.max(np.abs(spec_s.hamiltonian.toarray() - s * spec_b.hamiltonian.toarray())) <= 1e-12
     for (rb, _), (rs, _) in zip(spec_b.dissipators, spec_s.dissipators):
         assert rs == pytest.approx(s * rb)
     # fixed points of the mean-field flow are invariant under the rescaling

@@ -81,7 +81,7 @@ def test_c_phi_maximally_mixed_brute_force():
     # <J_phi^2> = 2/3 for every phi, so C_phi = 1 - 2*(2/3) = -1/3.
     alg = build_algebra(2)
     rho = np.eye(3, dtype=complex) / 3.0
-    jphi = lambda phi: np.sin(phi) * alg.jx.dense() + np.cos(phi) * alg.jy.dense()
+    jphi = lambda phi: np.sin(phi) * alg.jx.toarray() + np.cos(phi) * alg.jy.toarray()
     for phi in (0.0, 0.4, 1.1, 2.9):
         second = np.trace(jphi(phi) @ jphi(phi) @ rho).real
         expected = 1.0 - 2.0 * second
@@ -388,7 +388,7 @@ def test_coherent_state_is_top_eigenstate_along_its_axis():
     # with (n . J)|theta,phi> = j|theta,phi>, n = (sin t cos p, sin t sin p, cos t).
     n = 12
     alg = build_algebra(n)
-    jx, jy, jz = alg.jx.dense(), alg.jy.dense(), alg.jz.dense()
+    jx, jy, jz = alg.jx.toarray(), alg.jy.toarray(), alg.jz.toarray()
     for th, ph in ((0.0, 1.0), (0.7, 0.3), (2.0, -1.1), (np.pi, 0.4)):
         psi = _coherent_state(n, th, ph)
         axis = np.sin(th) * np.cos(ph) * jx + np.sin(th) * np.sin(ph) * jy + np.cos(th) * jz

@@ -1,14 +1,13 @@
 """Dicke-basis algebra: ladder structure, su(2) closure, expectation values."""
 
-import json
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dlmg.observables import _moment_operators
 from dlmg.operators import (
-    Operator,
     all_up_state,
     build_algebra,
     commutator,
@@ -20,24 +19,24 @@ from dlmg.operators import (
 
 def test_spin_half_matrices():
     alg = build_algebra(1)
-    assert np.allclose(alg.jz.dense(), np.diag([0.5, -0.5]))
+    assert np.allclose(alg.jz.toarray(), np.diag([0.5, -0.5]))
     # J+ couples |1/2,-1/2> (index 1) to |1/2,+1/2> (index 0) with unit weight
     expected = np.zeros((2, 2))
     expected[0, 1] = 1.0
-    assert np.allclose(alg.jplus.dense(), expected)
-    assert np.allclose(alg.jminus.dense(), expected.T)
+    assert np.allclose(alg.jplus.toarray(), expected)
+    assert np.allclose(alg.jminus.toarray(), expected.T)
 
 
 def test_spin_one_ladder_weights():
     alg = build_algebra(2)
-    off = np.diag(alg.jplus.dense(), k=1)
+    off = np.diag(alg.jplus.toarray(), k=1)
     assert np.allclose(off, [np.sqrt(2.0), np.sqrt(2.0)])
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 25, 100])
 def test_commutator_closure_and_casimir(n):
     alg = build_algebra(n)
-    jx, jy, jz = alg.jx.dense(), alg.jy.dense(), alg.jz.dense()
+    jx, jy, jz = alg.jx.toarray(), alg.jy.toarray(), alg.jz.toarray()
     assert np.max(np.abs(commutator(jx, jy) - 1j * jz)) <= 1e-12
     assert np.max(np.abs(commutator(jy, jz) - 1j * jx)) <= 1e-12
     assert np.max(np.abs(commutator(jz, jx) - 1j * jy)) <= 1e-12
@@ -49,15 +48,18 @@ def test_commutator_closure_and_casimir(n):
 @pytest.mark.parametrize("n", [1, 3, 10, 80])
 def test_ladder_identities_exact(n):
     alg = build_algebra(n)
-    jp = alg.jx.dense() + 1j * alg.jy.dense()
-    jm = alg.jx.dense() - 1j * alg.jy.dense()
-    assert np.array_equal(jp, alg.jplus.dense())
-    assert np.array_equal(jm, alg.jminus.dense())
+    jp = alg.jx.toarray() + 1j * alg.jy.toarray()
+    jm = alg.jx.toarray() - 1j * alg.jy.toarray()
+    assert np.array_equal(jp, alg.jplus.toarray())
+    assert np.array_equal(jm, alg.jminus.toarray())
 
 
 def test_basis_ordering_m_descending():
     alg = build_algebra(6)
-    assert np.allclose(np.diag(alg.jz.dense()).real, [3, 2, 1, 0, -1, -2, -3])
+    assert np.allclose(np.diag(alg.jz.toarray()).real, [3, 2, 1, 0, -1, -2, -3])
+    for op in (alg.jx, alg.jy, alg.jz, alg.jplus, alg.jminus):
+        assert isinstance(op, sp.csr_matrix) and op.dtype == np.complex128
+    assert alg.jz.nnz == 6  # the m = 0 entry is not stored
     # all-up occupies index 0
     rho = all_up_state(6)
     assert expectation(alg.jz, rho) == pytest.approx(3.0)
@@ -67,9 +69,9 @@ def test_expectation_examples():
     alg = build_algebra(10)
     rho = all_up_state(10)
     assert expectation(alg.jz, rho) == pytest.approx(5.0, abs=1e-12)
-    assert expectation(alg.identity, rho) == pytest.approx(1.0, abs=1e-12)
+    assert expectation(np.eye(alg.dim), rho) == pytest.approx(1.0, abs=1e-12)
     # <j,j|Jx^2|j,j> = j/2, cross-checked by brute-force matrix product
-    jx2 = alg.jx.dense() @ alg.jx.dense()
+    jx2 = alg.jx.toarray() @ alg.jx.toarray()
     brute = (rho @ jx2).trace()
     assert brute == pytest.approx(2.5, abs=1e-12)
     assert expectation(alg.jx @ alg.jx, rho) == pytest.approx(brute, abs=1e-12)
@@ -103,41 +105,12 @@ def test_dicke_state_validation():
         dicke_state(4, 0.3)
 
 
-def test_storage_switches_sparse_above_cutoff():
-    import scipy.sparse as sp
-
-    small = build_algebra(10)
-    large = build_algebra(100)
-    assert isinstance(small.jx.data, np.ndarray)
-    assert sp.issparse(large.jx.data)
-    # arithmetic works in both representations
-    assert np.allclose((large.jx @ large.jx).dense(), large.jx.dense() @ large.jx.dense())
-
-
-def test_operator_json_dump_roundtrip():
-    alg = build_algebra(3)
-    doc = json.loads(alg.jplus.to_json())
-    assert doc["dim"] == 4
-    rebuilt = np.zeros((4, 4), dtype=complex)
-    for r, c, re, im in doc["triplets"]:
-        rebuilt[r, c] = re + 1j * im
-    assert np.allclose(rebuilt, alg.jplus.dense())
-
-
-def test_hermitian_flag():
-    alg = build_algebra(5)
-    assert alg.jx.is_hermitian()
-    assert not alg.jplus.is_hermitian()
-    assert Operator(np.array([[1.0, 1e-13], [0.0, 2.0]])).is_hermitian(tol=1e-12)
-
-
 @pytest.mark.parametrize("n", [6, 100])
 def test_expectation_values_match_per_state_expectation(n):
-    # Dense storage at n = 6, sparse at n = 100.
     alg = build_algebra(n)
     rng = np.random.default_rng(3)
     states = rng.normal(size=(4, n + 1, n + 1)) + 1j * rng.normal(size=(4, n + 1, n + 1))
-    ops = {"jx": alg.jx, "jp2": alg.jplus @ alg.jplus, "raw": alg.jz.dense()}
+    ops = {"jx": alg.jx, "jp2": alg.jplus @ alg.jplus, "raw": alg.jz.toarray()}
     values = expectation_values(ops, states)
     assert list(values) == ["jx", "jp2", "raw"]
     for name, op in ops.items():
