@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from dlmg.lindblad import LindbladSpec
 from dlmg.observables import _moment_operators
 from dlmg.operators import (
     all_up_state,
@@ -103,6 +104,18 @@ def test_dicke_state_validation():
     assert rho[4, 4] == 1.0
     with pytest.raises(ValueError):
         dicke_state(4, 0.3)
+
+
+def test_hermitian_flag():
+    # The algebra's Hermitian operators are exactly Hermitian; LindbladSpec
+    # accepts them and a 1e-13 skew, and rejects the non-Hermitian J+.
+    alg = build_algebra(5)
+    assert abs(alg.jx - alg.jx.conj().T).max() == 0.0
+    assert abs(alg.jplus - alg.jplus.conj().T).max() > 0.0
+    LindbladSpec(hamiltonian=alg.jx)
+    LindbladSpec(hamiltonian=np.array([[1.0, 1e-13], [0.0, 2.0]]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        LindbladSpec(hamiltonian=alg.jplus)
 
 
 @pytest.mark.parametrize("n", [6, 100])
