@@ -14,7 +14,9 @@ command), an unknown name in ``outputs``, a ``sweep.variable`` other than
 ``lambda`` or ``h``, a ``model`` other than ``gamma0`` (the CLI runs the
 gamma=0 model only), a malformed value, a list of N for ``qfunc``, a
 ``dynamics.initial_m`` that is no spin projection m of some N in the sweep,
-or, under ``spectrum``, a model key other than ``lambda``, ``h`` and
+``gamma_a = gamma_b = 0`` under ``steady`` or ``qfunc`` (no dissipation, so
+no unique steady state; ``dynamics`` then runs the unitary evolution), or,
+under ``spectrum``, a model key other than ``lambda``, ``h`` and
 ``model`` (the spectrum derives its own parameters, so ``gamma_a``,
 ``gamma_b``, ``n_atoms`` and ``micro.*`` would be ignored).
 
@@ -321,9 +323,13 @@ def _plan(command: str, cfg: dict) -> _Plan:
                           f"known: {sorted(_OUTPUTS)}")
     # The model block is checked once here; spectra derive their own parameters,
     # so the probe takes any N.
-    if model_params_from_config({**model_cfg, "n_atoms": "1"}).gamma_anisotropy != 0:
+    probe = model_params_from_config({**model_cfg, "n_atoms": "1"})
+    if probe.gamma_anisotropy != 0:
         raise ConfigError(f"model {model_cfg['model']!r} is not supported by the CLI, "
                           "which runs the gamma0 model only")
+    if command in ("steady", "qfunc") and probe.Gamma_a == probe.Gamma_b == 0:
+        raise ConfigError(f"{command} needs dissipation: with gamma_a = gamma_b = 0 "
+                          "the steady state is not unique")
     plan = _PLANNERS[command](cli_cfg, model_cfg, variable, outputs)
     plan.config = {**model_cfg, **cli_cfg}
     return plan
@@ -443,7 +449,7 @@ def _spectrum_point(task):
     (lam, h), cavity, nu = task
     params, cav = fig_cavity(lam=lam, h=h, **cavity)
     sysm = linear_system(params, cav, rotation_angles(selected_branch(params)))
-    result = transmission(sysm, None, nu)
+    result = transmission(sysm, nu)
     return {"rows": {"spectrum": np.column_stack([result.nu, result.t_p, result.diverged])},
             "record": {"diverged_points": int(result.diverged.sum())}}
 

@@ -204,14 +204,6 @@ def moment_drift(coeffs: HPCoefficients):
     return f, g
 
 
-def moment_flow(coeffs: HPCoefficients, s: MomentState) -> tuple:
-    """Time derivatives (dn, dm) of the second moments."""
-    f, g = moment_drift(coeffs)
-    u = np.array([s.n, s.m.real, s.m.imag])
-    du = f @ u + g
-    return float(du[0]), complex(du[1] + 1j * du[2])
-
-
 def moment_steady_state(coeffs: HPCoefficients) -> MomentState:
     """Unique attracting fixed point of the second-moment flow.
 

@@ -22,7 +22,9 @@ trace row, the system is factorized by sparse LU, and the solve finishes with
 one step of iterative refinement on the same factorization.  The refinement
 step keeps the relative accuracy of tiny populations (e.g. the far tail of the
 Dicke ladder), which the fill-reducing ordering of the factorization alone
-loses.  The residual is checked on the full d x d state.  Uniqueness is
+loses.  The residual is checked on the full d x d state, as the max-abs
+entry of the product of the assembled sparse Liouvillian with vec(rho), so
+the solver holds one form of the generator.  Uniqueness is
 probed by re-solving the block with a different replaced row and by
 factorizing the complement block C: nothing leaves the block, so in the
 ordering (block, complement) the Liouvillian is block upper-triangular, and
@@ -128,7 +130,11 @@ class TrajectoryResult:
 
 
 def liouvillian_apply(spec: LindbladSpec, rho: np.ndarray) -> np.ndarray:
-    """Right-hand side -i[H,rho] + sum_k rate_k D[A_k] rho, evaluated densely."""
+    """Right-hand side -i[H,rho] + sum_k rate_k D[A_k] rho, evaluated densely.
+
+    The dense reference form of the generator, built from matrix products
+    and independent of :func:`liouvillian_matrix`; the solvers do not call it.
+    """
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (spec.dim, spec.dim):
         raise ValueError(f"dimension mismatch: spec dim {spec.dim}, state {rho.shape}")
@@ -204,17 +210,13 @@ def _block_state(vec: np.ndarray, idx: np.ndarray, d: int) -> np.ndarray:
     return _finalize_state(full, d)
 
 
-def _residual(spec: LindbladSpec, rho: np.ndarray) -> float:
-    res = float(np.max(np.abs(liouvillian_apply(spec, rho))))
+def _residual(lv: sp.csr_matrix, rho: np.ndarray) -> float:
+    """max |L rho| over the full d x d state, from the vectorized Liouvillian ``lv``."""
+    res = float(np.max(np.abs(lv @ rho.reshape(-1))))
     return res if np.isfinite(res) else np.inf
 
 
-def steady_state(
-    spec: LindbladSpec,
-    tol: float = 1e-10,
-    check_unique: bool = True,
-    max_fallback_time: float = 1e4,
-) -> np.ndarray:
+def steady_state(spec: LindbladSpec, tol: float = 1e-10, check_unique: bool = True) -> np.ndarray:
     """Steady state of the Lindblad generator, to max-abs residual ``tol``.
 
     The solve runs on the block of vec coordinates reachable from the
@@ -223,11 +225,12 @@ def steady_state(
     a second replaced row inside the block and factorizes the complement
     block, whose singularity would allow a second fixed point outside it.
 
-    Raises :class:`SteadyStateError` if no solution reaches the tolerance and
+    Raises ValueError if no dissipator has a positive rate,
+    :class:`SteadyStateError` if no solution reaches the tolerance and
     :class:`NonUniqueSteadyStateError` if the kernel appears degenerate.
     """
-    if not spec.dissipators:
-        raise ValueError("steady_state requires at least one dissipator")
+    if not any(rate > 0 for rate, _ in spec.dissipators):
+        raise ValueError("steady_state requires a dissipator with a positive rate")
     d = spec.dim
     lv = liouvillian_matrix(spec)
     idx, lv_r = _reachable_block(lv, maximally_mixed(d).reshape(-1))
@@ -239,7 +242,7 @@ def steady_state(
             candidate = _block_state(_solve_block(lv_r, trace, row), idx, d)
         except RuntimeError:
             continue
-        r = _residual(spec, candidate)
+        r = _residual(lv, candidate)
         if r < res:
             rho, res = candidate, r
         if res <= tol:
@@ -247,7 +250,7 @@ def steady_state(
 
     if res > tol:
         logger.info("direct steady-state residual %.3e > tol, falling back to relaxation", res)
-        rho, res = _steady_by_integration(spec, idx, lv_r, tol, max_fallback_time)
+        rho, res = _steady_by_integration(lv, d, idx, lv_r, tol)
         if res > tol:
             raise SteadyStateError(
                 f"steady state did not converge: residual {res:.3e} > tol {tol:.1e}",
@@ -263,7 +266,7 @@ def steady_state(
             raise NonUniqueSteadyStateError(
                 "non-unique steady state: probe solve singular", residual=res
             ) from None
-        if _residual(spec, rho2) <= 10.0 * max(tol, res) and np.max(np.abs(rho2 - rho)) > 100.0 * tol:
+        if _residual(lv, rho2) <= 10.0 * max(tol, res) and np.max(np.abs(rho2 - rho)) > 100.0 * tol:
             raise NonUniqueSteadyStateError(
                 "non-unique steady state: two fixed points found", residual=res
             )
@@ -279,20 +282,23 @@ def steady_state(
     return rho
 
 
-def _steady_by_integration(spec, idx, lv_r, tol, max_time):
-    """Relax the maximally mixed state on its reachable block until the residual drops below tol."""
-    d = spec.dim
+def _steady_by_integration(lv, d, idx, lv_r, tol):
+    """Relax the maximally mixed state on its reachable block until the residual drops below tol.
+
+    ``lv`` is the full d x d Liouvillian and ``lv_r`` its block on the vec
+    coordinates ``idx``.  Horizons double from 10 and stop at t = 1e4.
+    """
     rho = maximally_mixed(d)
     propagator = _Propagator(lv_r, idx, d)
     x = propagator.to_real(rho.reshape(-1)[idx])
     t, horizon = 0.0, 10.0
-    res = _residual(spec, rho)
-    while t < max_time and res > tol:
+    res = _residual(lv, rho)
+    while t < 1e4 and res > tol:
         x = propagator.step(x, horizon)
         rho = _block_state(propagator.to_block @ x, idx, d)
         t += horizon
         horizon *= 2.0
-        res = _residual(spec, rho)
+        res = _residual(lv, rho)
     return rho, res
 
 

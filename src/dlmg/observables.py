@@ -98,18 +98,11 @@ def _c_phi_from_moments(m: dict, n: int, phi: float) -> float:
     return 1.0 - (4.0 / n) * var - (4.0 / n**2) * mean**2
 
 
-def entanglement_curve(
-    rho: np.ndarray,
-    algebra: DickeAlgebra,
-    n_phi: int = 720,
-    refine: bool = True,
-    clip: bool = False,
-) -> EntanglementResult:
+def entanglement_curve(rho: np.ndarray, algebra: DickeAlgebra, n_phi: int = 720) -> EntanglementResult:
     """C_phi over a phi grid plus the rescaled concurrence.
 
     The optimum phi is located on the (pi-periodic) coarse grid and polished
-    by golden-section search to 1e-6.  ``clip`` replaces negative C_phi
-    values by zero in the returned curve.
+    by golden-section search to 1e-6.
     """
     moments = _second_moments(rho, algebra)
     n = algebra.n_spins
@@ -118,18 +111,15 @@ def entanglement_curve(
 
     i_best = int(np.argmax(curve))
     phi_star = float(phis[i_best])
-    if refine:
-        span = np.pi / n_phi
-        phi_star = _golden_max(
-            lambda p: _c_phi_from_moments(moments, n, p),
-            phi_star - span,
-            phi_star + span,
-            tol=1e-6,
-        )
+    span = np.pi / n_phi
+    phi_star = _golden_max(
+        lambda p: _c_phi_from_moments(moments, n, p),
+        phi_star - span,
+        phi_star + span,
+        tol=1e-6,
+    )
 
     c_r = _rescaled_concurrence_from_moments(moments, n)
-    if clip:
-        curve = np.maximum(curve, 0.0)
     return EntanglementResult(phi_grid=phis, c_phi=curve, c_r=c_r, phi_star=phi_star)
 
 

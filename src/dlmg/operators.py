@@ -141,9 +141,3 @@ def expectation_values(ops: dict, states: np.ndarray, support=None) -> dict:
     states = np.asarray(states)
     values = rows[:, cols].toarray() @ states.reshape(len(states), -1)[:, cols].T
     return dict(zip(ops, values))
-
-
-def commutator(a, b) -> np.ndarray:
-    """[a, b] as a dense matrix, for sparse or dense ``a`` and ``b``."""
-    am, bm = (m.toarray() if sp.issparse(m) else np.asarray(m) for m in (a, b))
-    return am @ bm - bm @ am

@@ -195,24 +195,18 @@ def normal_phase_selected(params: LMGParams) -> bool:
 def critical_points(params: LMGParams) -> CriticalPoints:
     """Critical coupling lam_c, critical field h_c, and eigenvalue markers.
 
-    lam_c = h + Gamma_b^2/(4h) requires h > 0; h_c = (lam - sqrt(lam^2 -
-    Gamma_b^2))/2 requires lam >= Gamma_b.  lambda' = h marks where the
+    lam_c and h_c are those of :func:`lambda_critical` (h > 0) and
+    :func:`h_critical` (lam >= Gamma_b).  lambda' = h marks where the
     normal-phase eigenvalues become real; lambda'' = (Gamma_b^2 + 2h^2) /
     sqrt(4 h lam_c) marks where the broken-phase eigenvalues turn complex.
     """
-    h, lam, gb = params.h, params.lam, params.Gamma_b
-    if h <= 0:
-        raise ValueError("lambda_c requires h > 0")
-    if lam < gb:
-        raise ValueError("h_c requires lam >= Gamma_b")
-    lambda_c = h + gb**2 / (4.0 * h)
-    h_c = 0.5 * (lam - np.sqrt(lam**2 - gb**2))
-    lambda_dprime = (gb**2 + 2.0 * h**2) / np.sqrt(4.0 * h * lambda_c)
+    h, gb = params.h, params.Gamma_b
+    lambda_c = lambda_critical(h, gb)
     return CriticalPoints(
         lambda_c=lambda_c,
-        h_c=h_c,
+        h_c=h_critical(params.lam, gb),
         lambda_prime=h,
-        lambda_dprime=lambda_dprime,
+        lambda_dprime=(gb**2 + 2.0 * h**2) / np.sqrt(4.0 * h * lambda_c),
     )
 
 
@@ -228,40 +222,3 @@ def h_critical(lam: float, gamma_b: float) -> float:
     if lam < gamma_b:
         raise ValueError("h_c requires lam >= Gamma_b")
     return 0.5 * (lam - np.sqrt(lam**2 - gamma_b**2))
-
-
-def integrate_bloch(
-    params: LMGParams,
-    s0: BlochState,
-    t_end: float,
-    tol: float = 1e-10,
-    n_out: int = 200,
-):
-    """Integrate the mean-field flow from ``s0`` to ``t_end``.
-
-    Returns (times, states) with ``states`` an (n_out, 3) array.  The initial
-    state must lie on the unit sphere; norm drift stays within integration
-    tolerance because the flow conserves the radius identically.
-    """
-    from scipy.integrate import solve_ivp
-
-    _require_gamma0(params)
-    if abs(s0.norm() - 1.0) > 1e-9:
-        raise ValueError(f"initial state must be normalized, |s0| = {s0.norm()}")
-
-    def rhs(_, v):
-        return flow(params, BlochState(*v))
-
-    times = np.linspace(0.0, t_end, n_out)
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        s0.as_array(),
-        method="RK45",
-        t_eval=times,
-        rtol=tol,
-        atol=tol,
-    )
-    if not sol.success:
-        raise RuntimeError(f"Bloch integration failed: {sol.message}")
-    return sol.t, sol.y.T

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hp import HPCoefficients, RotationAngles, first_moment_matrix
+from .hp import RotationAngles
 from .models import LMGParams, dissipation_rate
 from .semiclassical import normal_phase_selected
 
@@ -189,34 +189,21 @@ def drift_matrix(sys: LinearSystem) -> np.ndarray:
     return m
 
 
-def transmission(
-    sys: LinearSystem,
-    hp: HPCoefficients | None = None,
-    nu_grid=None,
-    drive: float = 1.0,
-) -> SpectrumResult:
+def transmission(sys: LinearSystem, nu_grid=None) -> SpectrumResult:
     """Probe transmission spectrum from the full 6-variable linear response.
 
-    ``hp``, when given, supplies the adiabatic first-moment matrix used only
-    as a marginal-stability pre-check (the 6x6 drift carries all dissipation
-    itself).  ``drive`` scales the probe amplitude and cancels in the
-    normalized intensity.
+    The probe amplitude is set to one; it cancels in the normalized
+    intensity, since the response is linear.
     """
     if nu_grid is None:
         nu_grid = default_nu_grid()
     nu_grid = np.asarray(nu_grid, dtype=float)
     if not np.all(np.isfinite(nu_grid)):
         raise ValueError("nu grid must be finite")
-    if hp is not None:
-        mu = np.linalg.eigvals(first_moment_matrix(hp))
-        if np.max(mu.real) > 0:
-            raise ValueError("first-moment spectrum unstable; no stationary response")
 
     kb = sys.cavity.kappa_b
     rhs = np.zeros(6, dtype=complex)
-    rhs[2] = np.sqrt(2.0 * kb) * drive
-    # Empty-cavity peak amplitude (at nu = delta_b): sqrt(2 kb) * sqrt(2 kb) E / kb.
-    norm = abs(2.0 * drive) ** 2
+    rhs[2] = np.sqrt(2.0 * kb)
 
     mats = -1j * nu_grid[:, None, None] * np.eye(6) - drift_matrix(sys)
     try:
@@ -229,7 +216,9 @@ def transmission(
     except np.linalg.LinAlgError:
         # LAPACK gave up on some point; classify the points one by one.
         sols, diverged = map(np.array, zip(*(_solve_point(mat, rhs) for mat in mats)))
-    t_p = np.abs(np.sqrt(2.0 * kb) * sols[:, 2]) ** 2 / norm
+    # Normalized by the empty-cavity peak intensity (at nu = delta_b),
+    # |sqrt(2 kb) * sqrt(2 kb) / kb|^2 = 4.
+    t_p = np.abs(np.sqrt(2.0 * kb) * sols[:, 2]) ** 2 / 4.0
     return SpectrumResult(nu=nu_grid, t_p=t_p, diverged=diverged)
 
 
@@ -278,12 +267,3 @@ def transmission_approx(params: LMGParams, nu_grid=None) -> SpectrumResult:
 def default_nu_grid(lo: float = -3.0, hi: float = 3.0, points: int = 2001) -> np.ndarray:
     """Default probe grid: resolves features of width ~2 Gamma_b at the canonical normalized-parameter scale."""
     return np.linspace(lo, hi, points)
-
-
-def count_peaks(result: SpectrumResult, prominence_rel: float = 0.05) -> list:
-    """Frequencies of local maxima with prominence above ``prominence_rel`` * max."""
-    from scipy.signal import find_peaks
-
-    scale = float(np.nanmax(result.t_p))
-    idx, _ = find_peaks(result.t_p, prominence=prominence_rel * scale)
-    return [float(result.nu[i]) for i in idx]

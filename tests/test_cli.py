@@ -148,10 +148,12 @@ def test_exit_code_one_on_unknown_key(tmp_path, capsys):
     ("spectrum", {**TINY_RUNS["spectrum"], "gamma_b": "0.2"}),
     ("spectrum", {**TINY_RUNS["spectrum"], "n_atoms": "50"}),
     ("spectrum", {**TINY_RUNS["spectrum"], "micro.kappa_a": "0.3"}),
+    ("steady", {k: v for k, v in FAST_STEADY.items() if not k.startswith("gamma")}),
+    ("qfunc", {**TINY_RUNS["qfunc"], "gamma_a": "0", "gamma_b": "0.0"}),
 ], ids=["isotropic", "conventional", "spectrum-variable", "qfunc-variable",
         "dynamics-key", "spectrum-key", "outputs-name", "spectrum-number", "qfunc-n-list",
         "dynamics-initial-m", "spectrum-gamma-a", "spectrum-gamma-b", "spectrum-n-atoms",
-        "spectrum-micro"])
+        "spectrum-micro", "steady-no-dissipation", "qfunc-no-dissipation"])
 def test_rejected_config_exits_one_and_writes_nothing(tmp_path, capsys, command, cfg):
     out = tmp_path / "out"
     rc = cli.main([command, "--config", str(write_config(tmp_path, cfg)), "--jobs", "1",
@@ -159,6 +161,13 @@ def test_rejected_config_exits_one_and_writes_nothing(tmp_path, capsys, command,
     assert rc == 1
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_dynamics_without_dissipation_is_planned():
+    # Zero rates leave unitary evolution, which dynamics runs; only the steady
+    # state needs a dissipator.
+    cfg = {k: v for k, v in TINY_RUNS["dynamics"].items() if not k.startswith("gamma")}
+    assert len(cli._plan("dynamics", cfg).tasks) == 3
 
 
 def test_spectrum_gamma_b_error_names_the_cavity_key(tmp_path, capsys):

@@ -8,6 +8,8 @@ extracted numerically from it, independently of the hard-coded closed form.
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlmg.hp import (
     EigenPair,
@@ -21,7 +23,6 @@ from dlmg.hp import (
     first_moment_matrix,
     hp_coefficients,
     moment_drift,
-    moment_flow,
     moment_steady_state,
     rotation_angles,
 )
@@ -32,6 +33,7 @@ from dlmg.semiclassical import (
     critical_points,
     fixed_points,
     lambda_critical,
+    selected_branch,
 )
 
 
@@ -268,23 +270,30 @@ def test_strong_dissipation_regime_flagged():
 
 def test_moment_flow_vacuum_decay():
     c = HPCoefficients(a1=1.7, a2=0.0, a3=0.0, gp=0.0, gm=0.3, gps=0.0, gms=0.0, phase="normal")
-    dn, dm = moment_flow(c, MomentState(n=1.0, m=0.0))
-    assert dn == pytest.approx(-2.0 * 0.3 * 1.0, abs=1e-14)
-    assert dm == 0.0
-
-
-def test_moment_flow_linearity():
-    c = HPCoefficients(a1=0.4, a2=-0.3, a3=0.1, gp=0.02, gm=0.3, gps=0.05, gms=-0.02, phase="normal")
     f, g = moment_drift(c)
-    s1 = np.array([0.5, 0.2, -0.1])
-    s2 = np.array([1.5, -0.4, 0.3])
-    a, b = 0.7, -1.3
+    dn, dre_m, dim_m = f @ np.array([1.0, 0.0, 0.0]) + g
+    assert dn == pytest.approx(-2.0 * 0.3 * 1.0, abs=1e-14)
+    assert dre_m == 0.0 and dim_m == 0.0
 
-    def rhs(u):
-        dn, dm = moment_flow(c, MomentState(n=u[0], m=complex(u[1], u[2])))
-        return np.array([dn, dm.real, dm.imag]) - g  # linear part only
 
-    assert np.allclose(rhs(a * s1 + b * s2), a * rhs(s1) + b * rhs(s2), atol=1e-12)
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    h=st.floats(-2.0, 2.0, allow_subnormal=False),
+    lam=st.floats(0.0, 2.0),
+    ga=st.floats(0.0, 0.5),
+    gb=st.floats(0.0, 0.5),
+)
+def test_steady_moments_are_physical_where_the_flow_is_stable(h, lam, ga, gb):
+    # Wherever the second-moment flow about the selected branch has an
+    # attracting fixed point, that fixed point is a Gaussian state.  (A
+    # subnormal h overflows Gamma_b / 2h in fixed_points before any HP step.)
+    p = params(h=h, lam=lam, ga=ga, gb=gb)
+    try:
+        s = moment_steady_state(hp_coefficients(p, selected_branch(p)))
+    except NoStableGaussianState:
+        return
+    assert s.n >= 0.0
+    assert s.n * (s.n + 1.0) >= abs(s.m) ** 2
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -161,6 +161,10 @@ def test_steady_state_requires_dissipator():
     spec = LindbladSpec(hamiltonian=alg.jz)
     with pytest.raises(ValueError):
         steady_state(spec)
+    # Zero rates leave the generator unitary, whose kernel is degenerate.
+    spec = gamma0_spec(3, h=1.0, lam=1.0, gamma_a=0.0, gamma_b=0.0)
+    with pytest.raises(ValueError, match="positive rate"):
+        steady_state(spec)
 
 
 def test_steady_state_flags_degenerate_kernel():
@@ -220,8 +224,14 @@ def test_steady_state_is_a_density_matrix(n, h, lam, gamma_a, gamma_b):
 
 
 def test_steady_state_integration_fallback_matches_direct_solve(monkeypatch):
+    # The direct solve, the uniqueness probe and the relaxation fallback all
+    # take their residual from the sparse Liouvillian, never from the dense form.
+    def dense_form(*args):
+        raise AssertionError("steady_state called liouvillian_apply")
+
+    monkeypatch.setattr(lindblad, "liouvillian_apply", dense_form)
     spec = gamma0_spec(6, h=1.0, lam=1.3, gamma_a=0.01, gamma_b=0.2)
-    direct = steady_state(spec, tol=1e-10)
+    direct = steady_state(spec, tol=1e-10, check_unique=True)
 
     def singular(*args):
         raise RuntimeError("forced singular factorization")

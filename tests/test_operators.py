@@ -11,7 +11,6 @@ from dlmg.observables import _moment_operators
 from dlmg.operators import (
     all_up_state,
     build_algebra,
-    commutator,
     dicke_state,
     expectation,
     expectation_values,
@@ -38,9 +37,9 @@ def test_spin_one_ladder_weights():
 def test_commutator_closure_and_casimir(n):
     alg = build_algebra(n)
     jx, jy, jz = alg.jx.toarray(), alg.jy.toarray(), alg.jz.toarray()
-    assert np.max(np.abs(commutator(jx, jy) - 1j * jz)) <= 1e-12
-    assert np.max(np.abs(commutator(jy, jz) - 1j * jx)) <= 1e-12
-    assert np.max(np.abs(commutator(jz, jx) - 1j * jy)) <= 1e-12
+    assert np.max(np.abs(jx @ jy - jy @ jx - 1j * jz)) <= 1e-12
+    assert np.max(np.abs(jy @ jz - jz @ jy - 1j * jx)) <= 1e-12
+    assert np.max(np.abs(jz @ jx - jx @ jz - 1j * jy)) <= 1e-12
     casimir = jx @ jx + jy @ jy + jz @ jz
     target = alg.j * (alg.j + 1.0) * np.eye(alg.dim)
     assert np.max(np.abs(casimir - target)) <= 1e-10
