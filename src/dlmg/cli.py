@@ -30,9 +30,14 @@ be pinned (no null in the manifest's ``blas_threads``).  Every run writes a
 ``manifest.json`` recording the merged config, tool version, ``jobs``, the
 thread count each BLAS library reports (``blas_threads``), wall time, output
 files, and per-point diagnostics, including each point's wall time
-``wall_s`` measured in the worker and, for dynamics, the propagated
-``block_size`` and the ``matvecs`` it took.  A point that raises is recorded
-with its error and left out of the CSV files, and the run goes on.  Exit
+``wall_s`` measured in the worker; for dynamics, the propagated
+``block_size`` and the ``matvecs`` it took; for steady and qfunc, the number
+of ladder levels the steady state was solved on (``window``) and its
+full-space ``residual``.  A steady state that fails
+``lindblad.validate_density_matrix`` on its window (outside which it is
+zero) fails its point.  A point that raises is recorded with its error (and
+the residual, if the error carries one) and left out of the CSV files, and
+the run goes on.  Exit
 code 0 means full success, 2 that some points failed, 1 a configuration
 error or an output error (an ``OSError`` creating or writing ``--out``).  The
 env var ``DLMG_LOG`` (debug/info/warning/error) selects log verbosity.
@@ -55,7 +60,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .lindblad import evolve, steady_state
+from .lindblad import SteadyStateError, evolve, steady_solution, validate_density_matrix
 from .models import ConfigError, LMGParams, build_gamma0, model_params_from_config, parse_config_text
 from .observables import (_moment_operators, entanglement_curve, hp_entanglement,
                           spin_qfunction, trajectory_moments)
@@ -374,10 +379,25 @@ def _hp_dynamics_curve(params: LMGParams, times, offset: float = SINGULAR_OFFSET
     return result
 
 
+def _steady_rho(params: LMGParams, algebra):
+    """Steady state of the gamma = 0 model and its manifest record (``window``, ``residual``).
+
+    Raises SteadyStateError if the state fails the density-matrix check on
+    its window, outside which it is zero.
+    """
+    sol = steady_solution(build_gamma0(params, algebra), tol=1e-10, check_unique=False)
+    lo, hi = sol.window
+    try:
+        validate_density_matrix(sol.rho[lo:hi, lo:hi])
+    except ValueError as exc:
+        raise SteadyStateError(f"unphysical steady state: {exc}", residual=sol.residual) from None
+    return sol.rho, {"window": hi - lo, "residual": sol.residual}
+
+
 def _steady_point(task):
     params, value, outputs, columns, offset = task
     algebra = build_algebra(params.n_atoms)
-    rho = steady_state(build_gamma0(params, algebra), tol=1e-10, check_unique=False)
+    rho, record = _steady_rho(params, algebra)
     j2 = (params.n_atoms / 2.0) ** 2
     row = {
         "lambda": params.lam,
@@ -420,7 +440,7 @@ def _steady_point(task):
             for f in fixed_points(params)
         ]
     rows["steady"] = [[row[col] for col in columns]]
-    return {"rows": rows}
+    return {"rows": rows, "record": record}
 
 
 def _dynamics_point(task):
@@ -457,10 +477,11 @@ def _spectrum_point(task):
 def _qfunc_point(task):
     params, thetas, phis = task
     algebra = build_algebra(params.n_atoms)
-    rho = steady_state(build_gamma0(params, algebra), tol=1e-10, check_unique=False)
+    rho, record = _steady_rho(params, algebra)
     grid = spin_qfunction(rho, algebra, thetas, phis)
     theta, phi = np.meshgrid(grid.thetas, grid.phis, indexing="ij")
-    return {"rows": {"qfunc": np.column_stack([theta.ravel(), phi.ravel(), grid.values.ravel()])}}
+    return {"rows": {"qfunc": np.column_stack([theta.ravel(), phi.ravel(), grid.values.ravel()])},
+            "record": record}
 
 
 # -- running and writing -------------------------------------------------------------

@@ -13,24 +13,41 @@ Density matrices are plain complex ndarrays.  Vectorization is row-major
 (numpy C order), so vec(A X B) = (A kron B^T) vec(X).
 
 Steady states: the vectorized Liouvillian is singular with (generically) a
-one-dimensional kernel spanned by the steady state.  The maximally mixed state
-relaxes to it without leaving the block of vec coordinates reachable from its
-support (see Dynamics below), so the solve works on that block only: the even
-parity half of rho for gamma = 0 and gamma = -1, the N + 1 populations for
+one-dimensional kernel spanned by the steady state.  The solve works on a
+window [lo, hi) of the ladder levels: H and every collapse operator are cut
+down to the window, which leaves a valid Lindbladian on it, and its steady
+state is padded with zeros.  The first window is the top min(d, 40) levels,
+where the collective pump D[J+] of the LMG models holds the state.  A padded
+window state rho has L rho inside the window widened by w = max(bw(H),
+2 bw(A_k)) levels on each side (bw: the bandwidth; w = 2 for the three LMG
+models, since A+A doubles the bandwidth of A), and there the cut-down
+widened spec acts as the full one, so the residual on the full space is
+exact from the widened window; neither the d^2 Liouvillian nor its block
+search is built.  The truncation changes L only within w levels of an edge,
+so an edge whose nearby residual rows exceed the tolerance moves out by
+half the window size (1.5x growth), until the full-space residual meets the
+tolerance.  A window whose next growth would cover the ladder (3 M >= 2 d
+for M levels) is widened to the whole ladder at once, which is the full
+solve; so d <= 60 is always solved whole.
+Within the window, the maximally mixed state relaxes to the steady state
+without leaving the block of vec coordinates reachable from its support
+(see Dynamics below), so the solve works on that block only: the even
+parity half of rho for gamma = 0 and gamma = -1, the populations for
 gamma = +1.  One diagonal row of the sliced Liouvillian is replaced by the
 trace row, the system is factorized by sparse LU, and the solve finishes with
 one step of iterative refinement on the same factorization.  The refinement
 step keeps the relative accuracy of tiny populations (e.g. the far tail of the
 Dicke ladder), which the fill-reducing ordering of the factorization alone
-loses.  The residual is checked on the full d x d state, as the max-abs
-entry of the product of the assembled sparse Liouvillian with vec(rho), so
-the solver holds one form of the generator.  Uniqueness is
-probed by re-solving the block with a different replaced row and by
-factorizing the complement block C: nothing leaves the block, so in the
-ordering (block, complement) the Liouvillian is block upper-triangular, and
-if C is nonsingular the kernel is the block kernel padded with zeros.  If the
-direct solve fails to reach the residual tolerance, the maximally mixed state
-is relaxed on the block over doubling horizons as a fallback.
+loses.  The residual is the max-abs entry of the product of an assembled
+sparse Liouvillian with vec(rho), so the solver holds one form of the
+generator.  Uniqueness is probed on the accepted window by re-solving the
+block with a different replaced row and by factorizing the complement block
+C: nothing leaves the block, so in the ordering (block, complement) the
+Liouvillian is block upper-triangular, and if C is nonsingular the kernel is
+the block kernel padded with zeros.  If the direct solve fails to reach the
+residual tolerance for a reason other than the window edges, the maximally
+mixed window state is relaxed on the block over doubling horizons as a
+fallback.
 
 Dynamics: the generator only couples vec coordinates along its sparsity
 pattern, so a state never leaves the coordinates reachable from the support
@@ -211,46 +228,149 @@ def _block_state(vec: np.ndarray, idx: np.ndarray, d: int) -> np.ndarray:
 
 
 def _residual(lv: sp.csr_matrix, rho: np.ndarray) -> float:
-    """max |L rho| over the full d x d state, from the vectorized Liouvillian ``lv``."""
+    """max |L rho| over the d x d state ``rho``, from the vectorized Liouvillian ``lv``."""
     res = float(np.max(np.abs(lv @ rho.reshape(-1))))
     return res if np.isfinite(res) else np.inf
 
 
-def steady_state(spec: LindbladSpec, tol: float = 1e-10, check_unique: bool = True) -> np.ndarray:
-    """Steady state of the Lindblad generator, to max-abs residual ``tol``.
+def _bandwidth(op: sp.csr_matrix) -> int:
+    """Largest |i - j| over the stored entries of ``op``."""
+    coo = op.tocoo()
+    return int(np.abs(coo.row - coo.col).max(initial=0))
 
-    The solve runs on the block of vec coordinates reachable from the
-    maximally mixed state (see the module docstring); the state is scattered
-    back to d x d and its residual is checked there.  ``check_unique`` probes
-    a second replaced row inside the block and factorizes the complement
-    block, whose singularity would allow a second fixed point outside it.
+
+def _truncate(spec: LindbladSpec, lo: int, hi: int) -> LindbladSpec:
+    """``spec`` with H and every collapse operator cut down to the levels [lo, hi)."""
+    if (lo, hi) == (0, spec.dim):
+        return spec
+    return LindbladSpec(spec.hamiltonian[lo:hi, lo:hi],
+                        tuple((rate, op[lo:hi, lo:hi]) for rate, op in spec.dissipators))
+
+
+# Levels of the first window :func:`steady_solution` tries, from the top of the ladder.
+_FIRST_WINDOW = 40
+
+
+class _Window:
+    """The Lindbladian truncated to the levels [lo, hi), and the full-space residual of its states.
+
+    ``lv`` is the truncated Liouvillian and ``lv_r`` its block on the vec
+    coordinates ``idx`` reachable from the maximally mixed window state,
+    whose diagonal entries sit at the block positions ``trace``.  A window
+    state padded with zeros has L rho inside the window widened by ``width``
+    levels on each side, and there the widened truncated spec acts as the
+    full one, so its Liouvillian ``lv_wide`` gives the exact full-space
+    residual.
+    """
+
+    def __init__(self, spec: LindbladSpec, lo: int, hi: int, width: int):
+        self.m = hi - lo
+        self.lv = liouvillian_matrix(_truncate(spec, lo, hi))
+        self.idx, self.lv_r = _reachable_block(self.lv, maximally_mixed(self.m).reshape(-1))
+        self.trace = np.searchsorted(self.idx, _trace_indices(self.m))
+        a, b = max(lo - width, 0), min(hi + width, spec.dim)
+        self.lv_wide = self.lv if (a, b) == (lo, hi) else liouvillian_matrix(_truncate(spec, a, b))
+        self.inner, self.wide = slice(lo - a, hi - a), b - a
+        # Rows of the widened window within ``width`` of the lower and upper window edge.
+        self.edges = (slice(0, lo - a + width), slice(max(hi - a - width, 0), b - a))
+        self.growable = (lo > 0, hi < spec.dim)
+
+    def state(self, vec: np.ndarray) -> np.ndarray:
+        return _block_state(vec, self.idx, self.m)
+
+    def _padded(self, rho: np.ndarray) -> np.ndarray:
+        if self.wide == self.m:
+            return rho
+        pad = np.zeros((self.wide, self.wide), dtype=np.complex128)
+        pad[self.inner, self.inner] = rho
+        return pad
+
+    def residual(self, rho: np.ndarray) -> float:
+        """max |L rho| over the full space, for the window state ``rho`` padded with zeros."""
+        return _residual(self.lv_wide, self._padded(rho))
+
+    def edges_over(self, rho: np.ndarray, tol: float) -> tuple:
+        """Whether each edge, lower and upper, can move and has residual rows above ``tol``.
+
+        The truncation changes L only within ``width`` levels of an edge, so
+        residual rows there above ``tol`` ask for a wider window.
+        """
+        res = np.abs(self.lv_wide @ self._padded(rho).reshape(-1)).reshape(self.wide, self.wide)
+        return tuple(bool(can and (res[rows].max(initial=0.0) > tol))
+                     for can, rows in zip(self.growable, self.edges))
+
+
+@dataclass(frozen=True)
+class SteadySolution:
+    """Output of :func:`steady_solution`.
+
+    ``rho`` is the d x d state, ``window`` the levels (lo, hi) it was solved
+    on (zero outside them) and ``residual`` its max-abs full-space residual.
+    """
+
+    rho: np.ndarray
+    window: tuple
+    residual: float
+
+
+def steady_state(spec: LindbladSpec, tol: float = 1e-10, check_unique: bool = True) -> np.ndarray:
+    """Steady state of the Lindblad generator, to max-abs residual ``tol`` on the full space.
+
+    The solve runs on a window [lo, hi) of the levels (see the module
+    docstring).  The first window is the top min(d, 40) levels; the exact
+    full-space residual of the zero-padded state is taken from the window
+    widened by the operators' bandwidth, and each edge whose residual rows
+    there exceed ``tol`` moves out by half the window size until the gate
+    passes; a window of at least 2d/3 levels is the whole ladder.  In the
+    window the solve runs on the block of vec coordinates
+    reachable from the maximally mixed state.  ``check_unique`` probes a
+    second replaced row inside the block and factorizes the complement block
+    of the accepted window, whose singularity would allow a second fixed
+    point outside it.  :func:`steady_solution` also returns the window and
+    the residual.
 
     Raises ValueError if no dissipator has a positive rate,
     :class:`SteadyStateError` if no solution reaches the tolerance and
     :class:`NonUniqueSteadyStateError` if the kernel appears degenerate.
     """
+    return steady_solution(spec, tol, check_unique).rho
+
+
+def steady_solution(spec: LindbladSpec, tol: float = 1e-10,
+                    check_unique: bool = True) -> SteadySolution:
+    """The solve of :func:`steady_state`, with the window it accepted and the state's residual."""
     if not any(rate > 0 for rate, _ in spec.dissipators):
         raise ValueError("steady_state requires a dissipator with a positive rate")
     d = spec.dim
-    lv = liouvillian_matrix(spec)
-    idx, lv_r = _reachable_block(lv, maximally_mixed(d).reshape(-1))
-    trace = np.searchsorted(idx, _trace_indices(d))
-
-    rho, res = None, np.inf
-    for row in (0, d - 1):
-        try:
-            candidate = _block_state(_solve_block(lv_r, trace, row), idx, d)
-        except RuntimeError:
-            continue
-        r = _residual(lv, candidate)
-        if r < res:
-            rho, res = candidate, r
-        if res <= tol:
+    width = max([_bandwidth(spec.hamiltonian)] + [2 * _bandwidth(op) for _, op in spec.dissipators])
+    lo, hi = 0, min(d, _FIRST_WINDOW)
+    while True:
+        if 3 * (hi - lo) >= 2 * d:  # its next growth would cover the ladder anyway
+            lo, hi = 0, d
+        win = _Window(spec, lo, hi, width)
+        rho, res, grow = None, np.inf, (False, False)
+        for row in (0, win.m - 1):
+            try:
+                candidate = win.state(_solve_block(win.lv_r, win.trace, row))
+            except RuntimeError:
+                continue
+            r = win.residual(candidate)
+            if r < res:
+                rho, res = candidate, r
+            if res <= tol:
+                break
+            # A window too small fails at its edges whichever row is replaced.
+            grow = win.edges_over(rho, tol)
+            if any(grow):
+                break
+        if not any(grow):
             break
+        step = (win.m + 1) // 2
+        lo, hi = (max(lo - step, 0) if grow[0] else lo), (min(hi + step, d) if grow[1] else hi)
 
     if res > tol:
         logger.info("direct steady-state residual %.3e > tol, falling back to relaxation", res)
-        rho, res = _steady_by_integration(lv, d, idx, lv_r, tol)
+        rho, res = _steady_by_integration(win, tol)
         if res > tol:
             raise SteadyStateError(
                 f"steady state did not converge: residual {res:.3e} > tol {tol:.1e}",
@@ -261,44 +381,47 @@ def steady_state(spec: LindbladSpec, tol: float = 1e-10, check_unique: bool = Tr
         # An exactly singular re-solve means the trace constraint did not pin
         # the block kernel down: more than one fixed point.
         try:
-            rho2 = _block_state(_solve_block(lv_r, trace, d // 2), idx, d)
+            rho2 = win.state(_solve_block(win.lv_r, win.trace, win.m // 2))
         except RuntimeError:
             raise NonUniqueSteadyStateError(
                 "non-unique steady state: probe solve singular", residual=res
             ) from None
-        if _residual(lv, rho2) <= 10.0 * max(tol, res) and np.max(np.abs(rho2 - rho)) > 100.0 * tol:
+        if win.residual(rho2) <= 10.0 * max(tol, res) and np.max(np.abs(rho2 - rho)) > 100.0 * tol:
             raise NonUniqueSteadyStateError(
                 "non-unique steady state: two fixed points found", residual=res
             )
         # A singular complement block allows a fixed point outside the block.
-        comp = np.setdiff1d(np.arange(d * d), idx, assume_unique=True)
+        comp = np.setdiff1d(np.arange(win.m * win.m), win.idx, assume_unique=True)
         if len(comp):
             try:
-                spla.splu(lv[comp][:, comp].tocsc())
+                spla.splu(win.lv[comp][:, comp].tocsc())
             except RuntimeError:
                 raise NonUniqueSteadyStateError(
                     "non-unique steady state: complement block singular", residual=res
                 ) from None
-    return rho
+    if win.m < d:
+        rho, window_rho = np.zeros((d, d), dtype=np.complex128), rho
+        rho[lo:hi, lo:hi] = window_rho
+    return SteadySolution(rho, (lo, hi), res)
 
 
-def _steady_by_integration(lv, d, idx, lv_r, tol):
-    """Relax the maximally mixed state on its reachable block until the residual drops below tol.
+def _steady_by_integration(win: _Window, tol: float):
+    """Relax the maximally mixed state of the window until its full-space residual drops below tol.
 
-    ``lv`` is the full d x d Liouvillian and ``lv_r`` its block on the vec
-    coordinates ``idx``.  Horizons double from 10 and stop at t = 1e4.
+    The state evolves on the window's reachable block.  Horizons double from
+    10 and stop at t = 1e4.
     """
-    rho = maximally_mixed(d)
-    propagator = _Propagator(lv_r, idx, d)
-    x = propagator.to_real(rho.reshape(-1)[idx])
+    rho = maximally_mixed(win.m)
+    propagator = _Propagator(win.lv_r, win.idx, win.m)
+    x = propagator.to_real(rho.reshape(-1)[win.idx])
     t, horizon = 0.0, 10.0
-    res = _residual(lv, rho)
+    res = win.residual(rho)
     while t < 1e4 and res > tol:
         x = propagator.step(x, horizon)
-        rho = _block_state(propagator.to_block @ x, idx, d)
+        rho = win.state(propagator.to_block @ x)
         t += horizon
         horizon *= 2.0
-        res = _residual(lv, rho)
+        res = win.residual(rho)
     return rho, res
 
 

@@ -150,7 +150,7 @@ def fixed_points(params: LMGParams) -> list:
 
     z = 2.0 * h / lam_big
     x = np.sqrt((lam_big**2 - 4.0 * h**2) / (2.0 * lam * lam_big))
-    y = (gb / (2.0 * h)) * x * z
+    y = gb * x / lam_big
     for sign, branch in ((+1.0, BROKEN_PLUS), (-1.0, BROKEN_MINUS)):
         state = BlochState(sign * x, sign * y, z)
         points.append(

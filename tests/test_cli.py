@@ -200,7 +200,7 @@ def test_exit_code_one_without_config():
 def test_exit_code_two_on_point_failure(tmp_path, monkeypatch):
     from dlmg.lindblad import SteadyStateError
 
-    real = cli.steady_state
+    real = cli.steady_solution
     calls = {"n": 0}
 
     def flaky(spec, **kw):
@@ -209,7 +209,7 @@ def test_exit_code_two_on_point_failure(tmp_path, monkeypatch):
             raise SteadyStateError("forced failure", residual=1.0)
         return real(spec, **kw)
 
-    monkeypatch.setattr(cli, "steady_state", flaky)
+    monkeypatch.setattr(cli, "steady_solution", flaky)
     cfg = write_config(tmp_path, FAST_STEADY)
     out = tmp_path / "out2"
     rc = cli.main(["steady", "--config", str(cfg), "--jobs", "1", "--out", str(out)])
@@ -222,6 +222,66 @@ def test_exit_code_two_on_point_failure(tmp_path, monkeypatch):
     # run continued: remaining points are present in the CSV
     csv = (out / "steady_N6.csv").read_text()
     assert csv.count("\n") > 3
+
+
+@pytest.mark.parametrize("command", ["steady", "qfunc"])
+def test_unphysical_steady_state_fails_its_point(tmp_path, monkeypatch, command):
+    from dlmg.lindblad import SteadySolution
+
+    real = cli.steady_solution
+
+    def negative(spec, **kw):
+        sol = real(spec, **kw)
+        rho = sol.rho.copy()
+        rho[0, 0] += 0.1
+        rho[-1, -1] -= 0.1  # keeps the trace, leaves an eigenvalue near -0.1
+        return SteadySolution(rho, sol.window, sol.residual)
+
+    monkeypatch.setattr(cli, "steady_solution", negative)
+    cfg = write_config(tmp_path, {**TINY_RUNS[command], "n_atoms": "4"})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    points = manifest["points"]
+    assert manifest["failures"] == len(points) >= 2
+    assert all("unphysical steady state: state not positive" in p["error"] for p in points)
+    assert all(p["residual"] <= 1e-10 for p in points)
+    for name in manifest["outputs"]:
+        lines = (out / name).read_text().splitlines()
+        assert len([l for l in lines if not l.startswith("#")]) == 1  # the column line only
+
+
+@pytest.mark.parametrize("n_atoms,max_window", [(4, 5), (60, 61)])
+def test_steady_manifest_records_window_and_residual(tmp_path, n_atoms, max_window):
+    cfg = write_config(tmp_path, {**FAST_STEADY, "n_atoms": str(n_atoms), "sweep.points": "3",
+                                  "outputs": "moments"})
+    out = tmp_path / "out"
+    assert cli.main(["steady", "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 0
+    points = json.loads((out / "manifest.json").read_text())["points"]
+    assert len(points) == 3
+    assert all(p["residual"] <= 1e-10 for p in points)
+    if n_atoms == 4:
+        assert all(p["window"] == 5 for p in points)
+    else:
+        assert all(40 <= p["window"] <= max_window for p in points)
+        assert min(p["window"] for p in points) < max_window  # the window did not always fill
+
+
+def test_qfunc_manifest_records_window_and_residual(tmp_path):
+    cfg = write_config(tmp_path, {**TINY_RUNS["qfunc"], "n_atoms": "4"})
+    out = tmp_path / "out"
+    assert cli.main(["qfunc", "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 0
+    points = json.loads((out / "manifest.json").read_text())["points"]
+    assert all(p["window"] == 5 and p["residual"] <= 1e-10 for p in points)
+
+
+def test_subnormal_field_runs(tmp_path):
+    # y = Gamma_b x / (2h) * z overflowed for 0 < |h| < 2.2e-308, and every
+    # point failed in the stability check of the broken pair.
+    cfg = write_config(tmp_path, {**FAST_STEADY, "n_atoms": "4", "h": "1e-310", "sweep.points": "3",
+                                  "outputs": "moments,entanglement,eigenvalues,semiclassical"})
+    out = tmp_path / "out"
+    assert cli.main(["steady", "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 0
 
 
 def test_byte_identical_reruns(tmp_path):

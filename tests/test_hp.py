@@ -278,15 +278,14 @@ def test_moment_flow_vacuum_decay():
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(
-    h=st.floats(-2.0, 2.0, allow_subnormal=False),
+    h=st.floats(-2.0, 2.0),
     lam=st.floats(0.0, 2.0),
     ga=st.floats(0.0, 0.5),
     gb=st.floats(0.0, 0.5),
 )
 def test_steady_moments_are_physical_where_the_flow_is_stable(h, lam, ga, gb):
     # Wherever the second-moment flow about the selected branch has an
-    # attracting fixed point, that fixed point is a Gaussian state.  (A
-    # subnormal h overflows Gamma_b / 2h in fixed_points before any HP step.)
+    # attracting fixed point, that fixed point is a Gaussian state.
     p = params(h=h, lam=lam, ga=ga, gb=gb)
     try:
         s = moment_steady_state(hp_coefficients(p, selected_branch(p)))

@@ -19,11 +19,13 @@ from dlmg.lindblad import (
     liouvillian_apply,
     liouvillian_matrix,
     maximally_mixed,
+    steady_solution,
     steady_state,
     validate_density_matrix,
 )
 from dlmg.models import LMGParams, build_conventional, build_gamma0, build_isotropic
-from dlmg.observables import _coherent_state, _moment_operators, trajectory_moments
+from dlmg.observables import (_coherent_state, _moment_operators, entanglement_curve,
+                              trajectory_moments)
 from dlmg.operators import all_up_state, build_algebra, dicke_state, expectation, expectation_values
 
 
@@ -302,6 +304,87 @@ def test_steady_state_validates():
     spec = gamma0_spec(30, h=1.0, lam=2.0, gamma_a=0.01, gamma_b=0.2)
     rho = steady_state(spec, tol=1e-11)
     validate_density_matrix(rho)
+
+
+# -- the ladder window of steady_solution ----------------------------------------
+
+
+def full_ladder_steady_state(spec):
+    """The steady state solved on every level: the first window already spans the ladder."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lindblad, "_FIRST_WINDOW", spec.dim)
+        sol = steady_solution(spec, tol=1e-10, check_unique=False)
+    assert sol.window == (0, spec.dim)
+    return sol.rho
+
+
+def _moments_and_cr(rho, alg):
+    """<Jx^2>, <Jy^2>, <Jz^2> over (N/2)^2, as the CLI writes them, and C_R."""
+    j2 = (alg.n_spins / 2.0) ** 2
+    ops = (alg.jx @ alg.jx, alg.jy @ alg.jy, alg.jz @ alg.jz)
+    return np.array([expectation(op, rho).real / j2 for op in ops]
+                    + [entanglement_curve(rho, alg).c_r])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(
+    model=st.sampled_from(["gamma0", "isotropic", "conventional"]),
+    n=st.integers(41, 200),
+    h=st.floats(0.1, 2.0),
+    lam=st.floats(0.1, 2.0),
+    gamma_a=st.floats(0.001, 0.5),
+    gamma_b=st.floats(0.001, 0.5),
+    alpha=st.floats(0.2, 1.0),
+    beta=st.floats(0.2, 1.0),
+)
+def test_window_steady_state_matches_full_ladder_solve(model, n, h, lam, gamma_a, gamma_b,
+                                                       alpha, beta):
+    tol = 1e-10
+    spec = _model_spec(model, n, h, lam, gamma_a, gamma_b, alpha, beta)
+    sol = steady_solution(spec, tol=tol)
+    lo, hi = sol.window
+    assert np.all(sol.rho[:lo] == 0) and np.all(sol.rho[hi:] == 0)
+    assert np.all(sol.rho[:, :lo] == 0) and np.all(sol.rho[:, hi:] == 0)
+    assert np.max(np.abs(liouvillian_apply(spec, sol.rho))) <= tol
+    alg = build_algebra(n)
+    full = _moments_and_cr(full_ladder_steady_state(spec), alg)
+    assert np.max(np.abs(_moments_and_cr(sol.rho, alg) - full)) <= 1e-12
+
+
+def test_window_triggers_on_the_gamma0_model():
+    # The collective pump D[J+] holds the state near the top of the ladder.
+    spec = gamma0_spec(150, h=1.0, lam=0.6, gamma_a=0.01, gamma_b=0.2)
+    sol = steady_solution(spec)
+    assert sol.window == (0, 40)
+    assert np.max(np.abs(sol.rho - full_ladder_steady_state(spec))) <= 1e-12
+
+
+@pytest.mark.parametrize("n,lam", [(50, 1.49), (100, 1.2), (150, 1.01)])
+def test_window_residual_is_the_full_space_residual(n, lam):
+    spec = gamma0_spec(n, h=1.0, lam=lam, gamma_a=0.01, gamma_b=0.2)
+    lv = liouvillian_matrix(spec)
+    sol = steady_solution(spec)
+    assert sol.residual == pytest.approx(lindblad._residual(lv, sol.rho), rel=1e-6, abs=1e-18)
+    # Exact also where the window is too small and the residual sits at its edge.
+    win = lindblad._Window(spec, 0, 40, 2)
+    rho = win.state(lindblad._solve_block(win.lv_r, win.trace, 0))
+    padded = np.zeros((spec.dim, spec.dim), dtype=complex)
+    padded[:40, :40] = rho
+    full = lindblad._residual(lv, padded)
+    assert win.residual(rho) == pytest.approx(full, rel=1e-12)
+
+
+def test_window_grows_down_to_a_state_at_the_bottom():
+    # A J- pump holds the state at the bottom of the ladder, far from the
+    # first window at the top.
+    n = 80
+    alg = build_algebra(n)
+    h = -2.0 * alg.jz - (1.6 / n) * (alg.jx @ alg.jx)
+    spec = LindbladSpec(hamiltonian=h, dissipators=((0.2 / n, alg.jminus),))
+    sol = steady_solution(spec)
+    assert sol.window == (0, n + 1)
+    assert sol.rho[-1, -1].real > 0.5
+    assert np.max(np.abs(sol.rho - full_ladder_steady_state(spec))) <= 1e-12
 
 
 # -- evolve -----------------------------------------------------------------------

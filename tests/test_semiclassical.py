@@ -69,6 +69,18 @@ def test_broken_fixed_point_values():
     assert fp.state.norm() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_subnormal_field_gives_finite_fixed_points():
+    # y = (Gamma_b / 2h) x z overflowed to inf for 0 < |h| < 2.2e-308, and the
+    # stability check of the broken pair raised on it.
+    p = params(h=2.2e-311, lam=1.0, gb=0.5)
+    fps = fixed_points(p)
+    assert [f.branch for f in fps] == [NORMAL, BROKEN_PLUS, BROKEN_MINUS]
+    for f in fps:
+        assert np.all(np.isfinite(f.state.as_array()))
+        assert np.max(np.abs(flow(p, f.state))) <= 1e-12
+    assert selected_branch(p).branch == NORMAL
+
+
 def test_broken_pair_symmetry():
     p = params(lam=1.8)
     fps = {f.branch: f for f in fixed_points(p)}
