@@ -7,7 +7,4 @@ Holstein-Primakoff linearization, probe-transmission spectra, and
 entanglement / phase-space diagnostics, plus a sweep-oriented CLI.
 """
 
-from .operators import DickeAlgebra, build_algebra, expectation
-
-__all__ = ["DickeAlgebra", "build_algebra", "expectation"]
 __version__ = "0.1.0"

@@ -20,6 +20,12 @@ under ``spectrum``, a model key other than ``lambda``, ``h`` and
 ``model`` (the spectrum derives its own parameters, so ``gamma_a``,
 ``gamma_b``, ``n_atoms`` and ``micro.*`` would be ignored).
 
+Only ``steady``, ``dynamics`` and ``qfunc`` import the finite-N engine
+(``operators``, ``lindblad``, ``observables``: scipy.sparse and scipy.linalg,
+about 0.4 s).  They load it in the main process while planning, so a forked
+worker pool inherits it; ``import dlmg.cli`` and the ``spectrum`` command,
+whose 6x6 linear-response model needs numpy alone, never load it.
+
 Sweep points are independent solves dispatched to a worker pool; results are
 collected and written in point order.  The OpenBLAS copies bundled with
 numpy and scipy are set to one thread in the main process and in every
@@ -48,6 +54,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import importlib
 import json
 import logging
 import os
@@ -60,11 +67,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .lindblad import SteadyStateError, evolve, steady_solution, validate_density_matrix
 from .models import ConfigError, LMGParams, build_gamma0, model_params_from_config, parse_config_text
-from .observables import (_moment_operators, entanglement_curve, hp_entanglement,
-                          spin_qfunction, trajectory_moments)
-from .operators import all_up_state, build_algebra, dicke_state, expectation
 from .presets import PRESETS
 from .hp import (
     NoStableGaussianState,
@@ -79,6 +82,36 @@ from .semiclassical import NORMAL, fixed_points, selected_branch
 from .spectrum import fig_cavity, linear_system, transmission
 
 logger = logging.getLogger("dlmg")
+
+# The finite-N engine: Dicke operators, the sparse Lindblad solver and the
+# observables of rho.  Importing it loads scipy.sparse and scipy.linalg, about
+# 0.4 s, which the spectrum command does without; see _load_engine.
+_ENGINE = {
+    "lindblad": ("SteadyStateError", "evolve", "steady_solution", "validate_density_matrix"),
+    "observables": ("_moment_operators", "entanglement_curve", "hp_entanglement",
+                    "spin_qfunction", "trajectory_moments"),
+    "operators": ("all_up_state", "build_algebra", "dicke_state", "expectation"),
+}
+
+
+def _load_engine() -> None:
+    """Bind the names of ``_ENGINE`` in this module, keeping any already bound (or patched).
+
+    The planners of steady, dynamics and qfunc call it, so the engine is
+    imported once in the main process and a forked pool inherits it.
+    """
+    for module, names in _ENGINE.items():
+        mod = importlib.import_module(f"{__package__}.{module}")
+        for name in names:
+            globals().setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name):
+    """Load the engine on first access to one of its names, e.g. ``cli.steady_solution``."""
+    if any(name in names for names in _ENGINE.values()):
+        _load_engine()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 # Every CLI-namespace key some command reads.  Each command ignores the keys
 # of the others, so that a preset runs under another command.
@@ -119,10 +152,11 @@ def _fmt(x) -> str:
 class _Plan:
     """A command's points and output files, worked out before any of it runs.
 
-    ``point(task)`` returns ``{"rows": {kind: rows}}`` plus an optional
-    ``"record"`` of manifest fields, or raises.  Each entry of ``files`` is
+    ``point(task)`` returns ``{"rows": {kind: block}}`` plus an optional
+    ``"record"`` of manifest fields, or raises; a block is a numeric ndarray
+    or a list of rows (see :func:`_write_rows`).  Each entry of ``files`` is
     ``(name, kind, extra header lines, columns, indices of its points)``: the
-    file takes the rows of ``kind`` from each of its points that succeeded.
+    file takes the block of ``kind`` from each of its points that succeeded.
     """
 
     variable: str
@@ -235,6 +269,7 @@ def _per_value_files(kind, variable, values, columns):
 
 
 def _plan_steady(cli_cfg, model_cfg, variable, outputs) -> _Plan:
+    _load_engine()
     offset = _number(cli_cfg, "sweep.singular_offset", SINGULAR_OFFSET)
     columns = list(_STEADY_COLUMNS)
     if outputs & {"entanglement", "cphi"}:
@@ -252,6 +287,7 @@ def _plan_steady(cli_cfg, model_cfg, variable, outputs) -> _Plan:
 
 
 def _plan_dynamics(cli_cfg, model_cfg, variable, outputs) -> _Plan:
+    _load_engine()
     offset = _number(cli_cfg, "sweep.singular_offset", SINGULAR_OFFSET)
     times = np.linspace(0.0, _number(cli_cfg, "dynamics.t_end", 10.0),
                         _number(cli_cfg, "dynamics.t_points", 101, int))
@@ -291,6 +327,7 @@ def _plan_spectrum(cli_cfg, model_cfg, variable, outputs) -> _Plan:
 
 
 def _plan_qfunc(cli_cfg, model_cfg, variable, outputs) -> _Plan:
+    _load_engine()
     values = _value_list(cli_cfg, "qfunc.values")
     n_atoms, *rest = _n_atoms_list(model_cfg)
     if rest:
@@ -571,13 +608,24 @@ def _point_records(plan: _Plan, results) -> list:
     return records
 
 
-def _write_rows(path, header, columns, rows):
-    """Write one CSV file: ``# `` header lines, the column line, one line per row."""
+def _write_rows(path, header, columns, blocks):
+    """Write one CSV file: ``# `` header lines, the column line, the rows of each block.
+
+    A block is a numeric ndarray, formatted with one ``%`` template for all its
+    cells, or a list of rows mixing strings and numbers, formatted cell by
+    cell.  Both print a number as :func:`_fmt` does.
+    """
     with open(path, "w") as fh:
         fh.writelines(f"# {line}\n" for line in header)
         fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row) + "\n"
-                      for row in rows)
+        for block in blocks:
+            if isinstance(block, np.ndarray):
+                nrows, ncols = block.shape
+                fh.write((",".join(["%.15g"] * ncols) + "\n") * nrows
+                         % tuple(block.ravel().tolist()))
+            else:
+                fh.writelines(",".join(cell if isinstance(cell, str) else _fmt(cell)
+                                       for cell in row) + "\n" for row in block)
 
 
 def main(argv=None) -> int:
@@ -617,9 +665,8 @@ def main(argv=None) -> int:
     header = [f"dlmg {__version__}", *(f"{k} = {plan.config[k]}" for k in sorted(plan.config))]
     try:
         for name, kind, extra, columns, indices in plan.files:
-            rows = (row for i in indices if results[i]["status"] == "ok"
-                    for row in results[i]["rows"][kind])
-            _write_rows(outdir / name, header + extra, columns, rows)
+            blocks = [results[i]["rows"][kind] for i in indices if results[i]["status"] == "ok"]
+            _write_rows(outdir / name, header + extra, columns, blocks)
         manifest = {
             "command": args.command,
             "preset": args.preset,

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .models import LMGParams
 from .semiclassical import (
@@ -228,8 +227,12 @@ def evolve_moments(coeffs: HPCoefficients, s0: MomentState, times) -> list:
     """Propagate the second moments through ``times`` (exact affine propagation).
 
     Uses the matrix exponential of the 4x4 augmented system, which stays exact
-    even when the drift is singular (criticality).
+    even when the drift is singular (criticality).  A step length that repeats
+    bit for bit reuses its exponential: a ``linspace`` grid has only a few
+    distinct steps.
     """
+    from scipy.linalg import expm
+
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) < 0):
         raise ValueError("times must be ascending")
@@ -237,14 +240,21 @@ def evolve_moments(coeffs: HPCoefficients, s0: MomentState, times) -> list:
     aug = np.zeros((4, 4))
     aug[:3, :3] = f
     aug[:3, 3] = g
+    propagators = {}
+
+    def step(dt):
+        if dt not in propagators:
+            propagators[dt] = expm(aug * dt)
+        return propagators[dt]
+
     u = np.array([s0.n, s0.m.real, s0.m.imag, 1.0])
     out = []
     t_prev = times[0]
     if t_prev != 0.0:
-        u = expm(aug * t_prev) @ u
+        u = step(t_prev) @ u
     out.append(MomentState(n=float(u[0]), m=complex(u[1] + 1j * u[2])))
     for t in times[1:]:
-        u = expm(aug * (t - t_prev)) @ u
+        u = step(t - t_prev) @ u
         t_prev = t
         out.append(MomentState(n=float(u[0]), m=complex(u[1] + 1j * u[2])))
     return out

@@ -515,22 +515,32 @@ class _Propagator:
 def _reachable_block(lv: sp.csr_matrix, vec: np.ndarray):
     """Vec coordinates ``lv`` can reach from the support of ``vec``, and ``lv`` sliced to them.
 
-    A boolean sparse matvec grows the set until it stops growing.  Since no
-    coordinate outside the set is coupled to one inside it, the sliced
-    generator propagates the state exactly.  Each step also adds the mirror
+    A breadth-first search over the nonzero entries of ``lv`` by columns
+    (coordinate j reaches i where L_ij != 0) visits each column once.  Since
+    no coordinate outside the set is coupled to one inside it, the sliced
+    generator propagates the state exactly.  The search also adds the mirror
     (j, i) of every coordinate (i, j), so the block carries Hermitian states
     even where a stored zero breaks the symmetry of the pattern.
     """
     d = math.isqrt(len(vec))
     mirror = np.arange(d * d).reshape(d, d).T.reshape(-1)
-    pattern = lv.astype(bool)
+    cols = (lv != 0).tocsc()  # the boolean pattern, without stored zeros
+    indptr, rows = cols.indptr, cols.indices
     reach = vec != 0
-    while True:
-        grown = reach | (pattern @ reach)
-        grown |= grown[mirror]
-        if np.array_equal(grown, reach):
-            break
-        reach = grown
+    reach |= reach[mirror]
+    frontier = np.flatnonzero(reach)
+    # Deduplicates a frontier without sorting (np.unique also imports numpy.ma, ~1 MB).
+    slot = np.empty(d * d, dtype=np.intp)
+    while len(frontier):
+        # Row indices of every entry in the frontier's columns, in one gather.
+        start, count = indptr[frontier], indptr[frontier + 1] - indptr[frontier]
+        hit = rows[np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())]
+        hit = hit[~reach[hit]]
+        hit = np.concatenate([hit, mirror[hit]])
+        order = np.arange(len(hit))
+        slot[hit] = order
+        frontier = hit[slot[hit] == order]
+        reach[frontier] = True
     idx = np.flatnonzero(reach)
     return idx, lv[idx][:, idx]
 

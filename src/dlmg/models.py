@@ -19,11 +19,13 @@ Gamma_a=0.01, Gamma_b=0.2} with h swept.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .lindblad import LindbladSpec
-from .operators import DickeAlgebra
+if TYPE_CHECKING:  # the sparse engine is imported by the builders that need it
+    from .lindblad import LindbladSpec
+    from .operators import DickeAlgebra
 
 
 class ConfigError(ValueError):
@@ -214,6 +216,8 @@ def build_gamma0(params: LMGParams, algebra: DickeAlgebra) -> LindbladSpec:
     The beta^2 factor of the original J- channel is taken as already absorbed
     into Gamma_b; only the absorbed rate is exposed.
     """
+    from .lindblad import LindbladSpec
+
     _check_match(params, algebra, 0)
     n = params.n_atoms
     h = -2.0 * params.h * algebra.jz - (2.0 * params.lam / n) * (algebra.jx @ algebra.jx)
@@ -233,6 +237,8 @@ def build_conventional(
     the channel rates are Gamma_plus = Gamma alpha^2 and Gamma_minus =
     Gamma beta^2 for caller-supplied alpha, beta in [-1, 1].
     """
+    from .lindblad import LindbladSpec
+
     _check_match(params, algebra, -1)
     if params.Gamma_a != params.Gamma_b:
         raise ValueError("conventional model assumes Gamma_a == Gamma_b")
@@ -250,6 +256,8 @@ def build_conventional(
 
 def build_isotropic(params: LMGParams, algebra: DickeAlgebra) -> LindbladSpec:
     """gamma = +1 model: H = -2h Jz - (2 lam/N)(Jx^2 + Jy^2) with D[J-], D[J+] dissipators."""
+    from .lindblad import LindbladSpec
+
     _check_match(params, algebra, 1)
     n = params.n_atoms
     jx2 = algebra.jx @ algebra.jx

@@ -316,17 +316,43 @@ def test_jobs_one_and_two_give_byte_identical_csv(tmp_path):
     assert csvs[0].count(b"\n") > 4 and csvs[0] == csvs[1]
 
 
-def test_import_leaves_unused_scipy_subpackages_unloaded():
-    # Each CLI command starts a fresh interpreter; these imports cost about
-    # 0.3 s and only library calls outside the CLI path need them.
+# scipy subpackages that cost a fresh interpreter about 0.4 s together.  The
+# spectrum command needs none of them; steady, dynamics and qfunc load the
+# sparse engine when they plan their run.
+_HEAVY_SCIPY = ("scipy.sparse", "scipy.linalg", "scipy.special", "scipy.integrate",
+                "scipy.optimize")
+
+
+def _loaded_heavy_scipy(code: str) -> list:
+    """The modules of ``_HEAVY_SCIPY`` loaded after running ``code`` in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
                                                       env.get("PYTHONPATH")]))
-    probe = ("import sys, dlmg.cli; print(','.join(m for m in ('scipy.integrate', "
-             "'scipy.optimize', 'scipy.special') if m in sys.modules))")
+    probe = f"{code}\nimport sys; print(','.join(m for m in {_HEAVY_SCIPY!r} if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == ""
+    return [m for m in out.splitlines()[-1].split(",") if m]
+
+
+def test_import_leaves_unused_scipy_subpackages_unloaded():
+    assert _loaded_heavy_scipy("import dlmg.cli") == []
+
+
+def test_spectrum_run_leaves_scipy_subpackages_unloaded(tmp_path):
+    cfg = write_config(tmp_path, TINY_RUNS["spectrum"])
+    run = (f"from dlmg import cli\n"
+           f"assert cli.main(['spectrum', '--config', {str(cfg)!r}, '--jobs', '1', "
+           f"'--out', {str(tmp_path / 'out')!r}]) == 0")
+    assert _loaded_heavy_scipy(run) == []
+    assert len(list((tmp_path / "out").glob("spectrum_*.csv"))) == 3
+
+
+@pytest.mark.parametrize("command", ["steady", "dynamics", "qfunc"])
+def test_engine_commands_load_the_engine_when_planning(tmp_path, command):
+    # Loaded in the main process before the pool forks, so no worker imports it again.
+    cfg = write_config(tmp_path, TINY_RUNS[command])
+    plan = f"from dlmg import cli\ncli._plan({command!r}, cli.parse_config_text(open({str(cfg)!r}).read()))"
+    assert {"scipy.sparse", "scipy.linalg"} <= set(_loaded_heavy_scipy(plan))
 
 
 def test_dynamics_manifest_records_block_size_and_matvecs(tmp_path):
@@ -356,6 +382,26 @@ def test_pool_workers_run_single_threaded_blas():
     finally:
         cli._blas_threads(before["numpy"])
     assert [r["threads"] for r in results] == [{"numpy": 1, "scipy": 1}] * 2
+
+
+def test_block_template_prints_every_cell_as_fmt(tmp_path):
+    # An ndarray block is printed with one "%.15g" template, a list of rows
+    # cell by cell; both must print each number exactly as cli._fmt does.
+    floats = np.array([[np.nan, np.inf, -np.inf], [-0.0, 1e-300, 1e16], [0.1, 1 / 3, -2.5e-7],
+                       [5e-324, 1.7976931348623157e308, 123456789012345.67]])
+    ints = np.array([[1, -2, 0], [10**15, 2**53 + 1, -(2**62)]], dtype=np.int64)
+    mixed = [["normal", 1.5, np.int64(3), 7, np.float64(np.nan), -0.0, 10**16, True]]
+    blocks = [floats, ints, mixed, floats[:0]]
+    path = tmp_path / "t.csv"
+    cli._write_rows(path, ["a = 1"], ["c1", "c2", "c3"], blocks)
+    expected = ["# a = 1", "c1,c2,c3"]
+    for block in blocks:  # the per-cell path; ndarray rows hold numpy scalars
+        expected += [",".join(c if isinstance(c, str) else cli._fmt(c) for c in row)
+                     for row in block]
+    assert path.read_text() == "\n".join(expected) + "\n"
+    for x in floats.ravel().tolist() + [np.int64(-7), 10**16, 2**53 + 1]:
+        assert "%.15g" % x == cli._fmt(x)
+    assert "nan,inf,-inf\n-0,1e-300,1e+16\n" in path.read_text()
 
 
 def test_csv_header_carries_config(tmp_path):

@@ -1,5 +1,6 @@
 """Lindblad engine vs independent dense oracles, plus trajectory invariants."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -455,6 +456,39 @@ def test_evolve_reachable_block_sizes():
     spec = build_isotropic(params, build_algebra(n))
     idx, _ = lindblad._reachable_block(liouvillian_matrix(spec), dicke_state(n, 1.0).reshape(-1))
     assert np.array_equal(idx, np.arange(d) * (d + 1))
+
+
+def fixed_point_reachable(lv, vec):
+    """Oracle: grow the reachable set by boolean sparse matvecs until it stops growing."""
+    d = math.isqrt(len(vec))
+    mirror = np.arange(d * d).reshape(d, d).T.reshape(-1)
+    pattern = lv.astype(bool)
+    reach = vec != 0
+    while True:
+        grown = reach | (pattern @ reach)
+        grown |= grown[mirror]
+        if np.array_equal(grown, reach):
+            return np.flatnonzero(reach)
+        reach = grown
+
+
+@pytest.mark.parametrize("model", ["gamma0", "conventional", "isotropic"])
+def test_reachable_block_matches_fixed_point_oracle(model):
+    n, d = 9, 10
+    lv = liouvillian_matrix(_model_spec(model, n, 1.0, 1.3, 0.05, 0.2, 0.6, 0.8))
+    odd = np.zeros((d, d), dtype=complex)
+    odd[2, 3] = odd[3, 2] = 0.5  # one odd coherence
+    psi = _coherent_state(n, 0.7, 0.3)
+    starts = [all_up_state(n), maximally_mixed(d), dicke_state(n, 0.5), odd, np.outer(psi, psi.conj())]
+    # A stored zero couples nothing: the oracle's boolean pattern drops it too.
+    stored_zero = lv.copy()
+    stored_zero.data[::7] = 0.0
+    for matrix in (lv, stored_zero):
+        for rho0 in starts:
+            vec = np.asarray(rho0).reshape(-1)
+            idx, lv_r = lindblad._reachable_block(matrix, vec)
+            assert np.array_equal(idx, fixed_point_reachable(matrix, vec))
+            assert (lv_r != matrix[idx][:, idx]).nnz == 0
 
 
 def test_evolve_without_states_stores_only_the_reachable_block():
