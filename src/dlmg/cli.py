@@ -23,8 +23,10 @@ under ``spectrum``, a model key other than ``lambda``, ``h`` and
 Only ``steady``, ``dynamics`` and ``qfunc`` import the finite-N engine
 (``operators``, ``lindblad``, ``observables``: scipy.sparse and scipy.linalg,
 about 0.4 s).  They load it in the main process while planning, so a forked
-worker pool inherits it; ``import dlmg.cli`` and the ``spectrum`` command,
-whose 6x6 linear-response model needs numpy alone, never load it.
+worker pool inherits it; each point function imports the names it uses, so a
+spawned worker loads it once itself.  ``import dlmg.cli`` and the
+``spectrum`` command, whose 6x6 linear-response model needs numpy alone,
+never load it.
 
 Sweep points are independent solves dispatched to a worker pool; results are
 collected and written in point order.  The OpenBLAS copies bundled with
@@ -54,7 +56,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
-import importlib
 import json
 import logging
 import os
@@ -82,36 +83,6 @@ from .semiclassical import NORMAL, fixed_points, selected_branch
 from .spectrum import fig_cavity, linear_system, transmission
 
 logger = logging.getLogger("dlmg")
-
-# The finite-N engine: Dicke operators, the sparse Lindblad solver and the
-# observables of rho.  Importing it loads scipy.sparse and scipy.linalg, about
-# 0.4 s, which the spectrum command does without; see _load_engine.
-_ENGINE = {
-    "lindblad": ("SteadyStateError", "evolve", "steady_solution", "validate_density_matrix"),
-    "observables": ("_moment_operators", "entanglement_curve", "hp_entanglement",
-                    "spin_qfunction", "trajectory_moments"),
-    "operators": ("all_up_state", "build_algebra", "dicke_state", "expectation"),
-}
-
-
-def _load_engine() -> None:
-    """Bind the names of ``_ENGINE`` in this module, keeping any already bound (or patched).
-
-    The planners of steady, dynamics and qfunc call it, so the engine is
-    imported once in the main process and a forked pool inherits it.
-    """
-    for module, names in _ENGINE.items():
-        mod = importlib.import_module(f"{__package__}.{module}")
-        for name in names:
-            globals().setdefault(name, getattr(mod, name))
-
-
-def __getattr__(name):
-    """Load the engine on first access to one of its names, e.g. ``cli.steady_solution``."""
-    if any(name in names for names in _ENGINE.values()):
-        _load_engine()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 # Every CLI-namespace key some command reads.  Each command ignores the keys
 # of the others, so that a preset runs under another command.
@@ -269,7 +240,9 @@ def _per_value_files(kind, variable, values, columns):
 
 
 def _plan_steady(cli_cfg, model_cfg, variable, outputs) -> _Plan:
-    _load_engine()
+    # Imported here, in the main process, so that a forked pool inherits the
+    # engine; the point functions import its names themselves.
+    from . import lindblad, observables, operators  # noqa: F401
     offset = _number(cli_cfg, "sweep.singular_offset", SINGULAR_OFFSET)
     columns = list(_STEADY_COLUMNS)
     if outputs & {"entanglement", "cphi"}:
@@ -287,7 +260,7 @@ def _plan_steady(cli_cfg, model_cfg, variable, outputs) -> _Plan:
 
 
 def _plan_dynamics(cli_cfg, model_cfg, variable, outputs) -> _Plan:
-    _load_engine()
+    from . import lindblad, observables, operators  # noqa: F401
     offset = _number(cli_cfg, "sweep.singular_offset", SINGULAR_OFFSET)
     times = np.linspace(0.0, _number(cli_cfg, "dynamics.t_end", 10.0),
                         _number(cli_cfg, "dynamics.t_points", 101, int))
@@ -302,7 +275,7 @@ def _plan_dynamics(cli_cfg, model_cfg, variable, outputs) -> _Plan:
     coords, params = _sweep_grid(cli_cfg, model_cfg, variable)
     if m0 is not None:
         for n in dict.fromkeys(n for _, n in coords):
-            dicke_state(n, m0)  # raises ValueError unless m0 is in {-N/2, ..., N/2}
+            operators.dicke_state(n, m0)  # raises ValueError unless m0 is in {-N/2, ..., N/2}
     tasks = [(p, outputs, columns, times, m0, offset) for p in params]
     return _Plan(variable, _dynamics_point, tasks, coords,
                  _per_n_files(coords, [("dynamics", columns)]))
@@ -327,7 +300,7 @@ def _plan_spectrum(cli_cfg, model_cfg, variable, outputs) -> _Plan:
 
 
 def _plan_qfunc(cli_cfg, model_cfg, variable, outputs) -> _Plan:
-    _load_engine()
+    from . import lindblad, observables, operators  # noqa: F401
     values = _value_list(cli_cfg, "qfunc.values")
     n_atoms, *rest = _n_atoms_list(model_cfg)
     if rest:
@@ -406,6 +379,8 @@ def _hp_steady(params: LMGParams, fp, offset: float = SINGULAR_OFFSET):
 
 def _hp_dynamics_curve(params: LMGParams, times, offset: float = SINGULAR_OFFSET) -> list:
     """C_R^HP(t) from vacuum initial moments about the selected branch."""
+    from .observables import hp_entanglement
+
     def curve(trial):
         coeffs = hp_coefficients(trial, selected_branch(trial))
         return [hp_entanglement(s).c_r for s in evolve_moments(coeffs, MomentState(n=0.0, m=0.0), times)]
@@ -422,6 +397,8 @@ def _steady_rho(params: LMGParams, algebra):
     Raises SteadyStateError if the state fails the density-matrix check on
     its window, outside which it is zero.
     """
+    from .lindblad import SteadyStateError, steady_solution, validate_density_matrix
+
     sol = steady_solution(build_gamma0(params, algebra), tol=1e-10, check_unique=False)
     lo, hi = sol.window
     try:
@@ -432,6 +409,9 @@ def _steady_rho(params: LMGParams, algebra):
 
 
 def _steady_point(task):
+    from .observables import entanglement_curve, hp_entanglement
+    from .operators import build_algebra, expectation
+
     params, value, outputs, columns, offset = task
     algebra = build_algebra(params.n_atoms)
     rho, record = _steady_rho(params, algebra)
@@ -481,6 +461,10 @@ def _steady_point(task):
 
 
 def _dynamics_point(task):
+    from .lindblad import evolve
+    from .observables import _moment_operators, trajectory_moments
+    from .operators import all_up_state, build_algebra, dicke_state
+
     params, outputs, columns, times, m0, offset = task
     table = {"lambda": np.full(len(times), params.lam), "h": np.full(len(times), params.h),
              "t": times}
@@ -512,6 +496,9 @@ def _spectrum_point(task):
 
 
 def _qfunc_point(task):
+    from .observables import spin_qfunction
+    from .operators import build_algebra
+
     params, thetas, phis = task
     algebra = build_algebra(params.n_atoms)
     rho, record = _steady_rho(params, algebra)

@@ -227,9 +227,7 @@ def evolve_moments(coeffs: HPCoefficients, s0: MomentState, times) -> list:
     """Propagate the second moments through ``times`` (exact affine propagation).
 
     Uses the matrix exponential of the 4x4 augmented system, which stays exact
-    even when the drift is singular (criticality).  A step length that repeats
-    bit for bit reuses its exponential: a ``linspace`` grid has only a few
-    distinct steps.
+    even when the drift is singular (criticality).
     """
     from scipy.linalg import expm
 
@@ -240,21 +238,14 @@ def evolve_moments(coeffs: HPCoefficients, s0: MomentState, times) -> list:
     aug = np.zeros((4, 4))
     aug[:3, :3] = f
     aug[:3, 3] = g
-    propagators = {}
-
-    def step(dt):
-        if dt not in propagators:
-            propagators[dt] = expm(aug * dt)
-        return propagators[dt]
-
     u = np.array([s0.n, s0.m.real, s0.m.imag, 1.0])
     out = []
     t_prev = times[0]
     if t_prev != 0.0:
-        u = step(t_prev) @ u
+        u = expm(aug * t_prev) @ u
     out.append(MomentState(n=float(u[0]), m=complex(u[1] + 1j * u[2])))
     for t in times[1:]:
-        u = step(t - t_prev) @ u
+        u = expm(aug * (t - t_prev)) @ u
         t_prev = t
         out.append(MomentState(n=float(u[0]), m=complex(u[1] + 1j * u[2])))
     return out

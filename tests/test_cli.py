@@ -1,6 +1,7 @@
 """CLI: config handling, determinism, manifest contract, exit codes, presets."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -198,9 +199,10 @@ def test_exit_code_one_without_config():
 
 
 def test_exit_code_two_on_point_failure(tmp_path, monkeypatch):
+    from dlmg import lindblad
     from dlmg.lindblad import SteadyStateError
 
-    real = cli.steady_solution
+    real = lindblad.steady_solution
     calls = {"n": 0}
 
     def flaky(spec, **kw):
@@ -209,7 +211,7 @@ def test_exit_code_two_on_point_failure(tmp_path, monkeypatch):
             raise SteadyStateError("forced failure", residual=1.0)
         return real(spec, **kw)
 
-    monkeypatch.setattr(cli, "steady_solution", flaky)
+    monkeypatch.setattr(lindblad, "steady_solution", flaky)
     cfg = write_config(tmp_path, FAST_STEADY)
     out = tmp_path / "out2"
     rc = cli.main(["steady", "--config", str(cfg), "--jobs", "1", "--out", str(out)])
@@ -226,9 +228,10 @@ def test_exit_code_two_on_point_failure(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["steady", "qfunc"])
 def test_unphysical_steady_state_fails_its_point(tmp_path, monkeypatch, command):
+    from dlmg import lindblad
     from dlmg.lindblad import SteadySolution
 
-    real = cli.steady_solution
+    real = lindblad.steady_solution
 
     def negative(spec, **kw):
         sol = real(spec, **kw)
@@ -237,7 +240,7 @@ def test_unphysical_steady_state_fails_its_point(tmp_path, monkeypatch, command)
         rho[-1, -1] -= 0.1  # keeps the trace, leaves an eigenvalue near -0.1
         return SteadySolution(rho, sol.window, sol.residual)
 
-    monkeypatch.setattr(cli, "steady_solution", negative)
+    monkeypatch.setattr(lindblad, "steady_solution", negative)
     cfg = write_config(tmp_path, {**TINY_RUNS[command], "n_atoms": "4"})
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 2
@@ -353,6 +356,25 @@ def test_engine_commands_load_the_engine_when_planning(tmp_path, command):
     cfg = write_config(tmp_path, TINY_RUNS[command])
     plan = f"from dlmg import cli\ncli._plan({command!r}, cli.parse_config_text(open({str(cfg)!r}).read()))"
     assert {"scipy.sparse", "scipy.linalg"} <= set(_loaded_heavy_scipy(plan))
+
+
+@pytest.mark.parametrize("command", ["steady", "dynamics", "qfunc"])
+def test_engine_points_run_in_a_spawned_pool(tmp_path, monkeypatch, command):
+    # A spawned worker imports dlmg.cli afresh and does not inherit the engine
+    # the planner loaded, so each point function must import what it uses.
+    cfg = write_config(tmp_path, TINY_RUNS[command])
+    plan = cli._plan(command, cli.parse_config_text(cfg.read_text()))
+    serial = cli._run_pool(plan.point, plan.tasks, 1)
+    monkeypatch.setattr(cli, "Pool", multiprocessing.get_context("spawn").Pool)
+    spawned = cli._run_pool(plan.point, plan.tasks, 2)
+    assert [r["status"] for r in spawned] == ["ok"] * len(plan.tasks)
+    for one, two in zip(serial, spawned):
+        assert one["rows"].keys() == two["rows"].keys()
+        for kind, block in one["rows"].items():
+            if isinstance(block, np.ndarray):
+                np.testing.assert_allclose(two["rows"][kind], block, rtol=1e-9, atol=1e-12)
+            else:
+                assert len(two["rows"][kind]) == len(block)
 
 
 def test_dynamics_manifest_records_block_size_and_matvecs(tmp_path):

@@ -379,28 +379,6 @@ def test_evolve_moments_matches_eigendecomposition():
         assert np.allclose([s.n, s.m.real, s.m.imag], u_exact, atol=1e-10)
 
 
-def test_evolve_moments_reuses_the_exponential_of_a_repeated_step(monkeypatch):
-    import scipy.linalg
-
-    p = params(lam=1.3)
-    c = hp_coefficients(p, branch(p, BROKEN_PLUS))
-    f, g = moment_drift(c)
-    aug = np.zeros((4, 4))
-    aug[:3, :3], aug[:3, 3] = f, g
-    times = np.linspace(0.5, 10.0, 101)
-    u, expected, t_prev = np.array([0.0, 0.0, 0.0, 1.0]), [], 0.0
-    for t in times:  # one exponential per step, as many calls as steps
-        u = scipy.linalg.expm(aug * (t - t_prev)) @ u
-        t_prev = t
-        expected.append((float(u[0]), complex(u[1] + 1j * u[2])))
-    calls = []
-    expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
-    out = evolve_moments(c, MomentState(n=0.0, m=0.0), times)
-    assert [(s.n, s.m) for s in out] == expected  # bit for bit
-    assert len(calls) == 1 + len(set(np.diff(times).tolist())) < len(times) // 4
-
-
 def test_trajectory_moments_stay_physical():
     # Gaussian physicality n(n+1) >= |m|^2 along trajectories from vacuum.
     for lam in (0.3, 0.9, 1.5, 2.0):
