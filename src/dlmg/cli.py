@@ -22,11 +22,11 @@ under ``spectrum``, a model key other than ``lambda``, ``h`` and
 
 Only ``steady``, ``dynamics`` and ``qfunc`` import the finite-N engine
 (``operators``, ``lindblad``, ``observables``: scipy.sparse and scipy.linalg,
-about 0.4 s).  They load it in the main process while planning, so a forked
-worker pool inherits it; each point function imports the names it uses, so a
-spawned worker loads it once itself.  ``import dlmg.cli`` and the
-``spectrum`` command, whose 6x6 linear-response model needs numpy alone,
-never load it.
+about 0.4 s; ``qfunc`` also scipy.special).  They load it in the main process
+while planning, so a forked worker pool inherits it; each point function
+imports the names it uses, so a spawned worker loads it once itself.
+``import dlmg.cli`` and the ``spectrum`` command, whose 6x6 linear-response
+model needs numpy alone, never load it.
 
 Sweep points are independent solves dispatched to a worker pool; results are
 collected and written in point order.  The OpenBLAS copies bundled with
@@ -39,9 +39,10 @@ be pinned (no null in the manifest's ``blas_threads``).  Every run writes a
 thread count each BLAS library reports (``blas_threads``), wall time, output
 files, and per-point diagnostics, including each point's wall time
 ``wall_s`` measured in the worker; for dynamics, the propagated
-``block_size`` and the ``matvecs`` it took; for steady and qfunc, the number
-of ladder levels the steady state was solved on (``window``) and its
-full-space ``residual``.  A steady state that fails
+``block_size``, the ``matvecs`` it took (retried steps included) and the
+number of ladder levels of its last window (``window``); for steady and
+qfunc, the number of ladder levels the steady state was solved on
+(``window``) and its full-space ``residual``.  A steady state that fails
 ``lindblad.validate_density_matrix`` on its window (outside which it is
 zero) fails its point.  A point that raises is recorded with its error (and
 the residual, if the error carries one) and left out of the CSV files, and
@@ -300,6 +301,9 @@ def _plan_spectrum(cli_cfg, model_cfg, variable, outputs) -> _Plan:
 
 
 def _plan_qfunc(cli_cfg, model_cfg, variable, outputs) -> _Plan:
+    # scipy.special gives the Q-function its coherent-state amplitudes.
+    import scipy.special  # noqa: F401
+
     from . import lindblad, observables, operators  # noqa: F401
     values = _value_list(cli_cfg, "qfunc.values")
     n_atoms, *rest = _n_atoms_list(model_cfg)
@@ -476,7 +480,8 @@ def _dynamics_point(task):
         rho0 = all_up_state(params.n_atoms) if m0 is None else dicke_state(params.n_atoms, m0)
         traj = evolve(build_gamma0(params, algebra), rho0, times,
                       observables=_moment_operators(algebra), keep_states=False)
-        record = {"block_size": traj.block_size, "matvecs": traj.matvecs}
+        lo, hi = traj.window
+        record = {"block_size": traj.block_size, "matvecs": traj.matvecs, "window": hi - lo}
         moments = trajectory_moments(traj.expectations, params.n_atoms)
         j2 = (params.n_atoms / 2.0) ** 2
         table["c_r"] = moments["c_r"]

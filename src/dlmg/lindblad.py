@@ -54,8 +54,7 @@ pattern, so a state never leaves the coordinates reachable from the support
 of its initial value.  Propagation slices the Liouvillian to that reachable
 block and applies its exponential by the truncated Taylor method of Al-Mohy &
 Higham (SIAM J. Sci. Comput. 33, 488 (2011)), the algorithm of
-``scipy.sparse.linalg.expm_multiply``, with its shift and 1-norm set up once
-per trajectory rather than once per output step.  Since L(rho+) = L(rho)+,
+``scipy.sparse.linalg.expm_multiply``.  Since L(rho+) = L(rho)+,
 a Hermitian state stays Hermitian, so the propagation runs on its real
 coordinates (Re rho_ij for i <= j, Im rho_ij for i < j) with a real sparse
 generator; the initial state must therefore be Hermitian.  It works to double
@@ -65,6 +64,17 @@ block is the even-parity part of rho (i - j even, the weak Z2 symmetry of
 Buca & Prosen, NJP 14, 073007 (2012)), about half the unknowns; for
 gamma = +1 from a diagonal state it is the N + 1 populations; a start with
 odd coherences keeps the whole space.
+The pattern reaches every level, but the magnitudes do not: from all-up at
+N = 100 and lambda = 0.12, no |rho_ij| below level 22 exceeds 1e-16 by
+t = 10.  So the real coordinates are propagated on a window of levels
+[lo, hi): those whose two levels both lie in it, with the real generator
+sliced to them and the Taylor shift and 1-norm of that slice, so a narrow
+window also takes fewer substeps.  The first window is the levels rho0
+occupies, widened by 20 on each side.  After each output step, the
+coordinates within w levels of an edge that can move (w as for the steady
+window) must not exceed 2^-53 max|x|, the rounding unit of the state;
+where they do, the edge moves out by the steady solver's rule and the step
+is redone from its start on the wider window.
 """
 
 from __future__ import annotations
@@ -135,8 +145,10 @@ class LindbladSpec:
 class TrajectoryResult:
     """Output of :func:`evolve`: times, a (T, d, d) state stack, and complex expectation values.
 
-    ``block_size`` is the number of vec coordinates propagated and
-    ``matvecs`` the number of sparse products the propagation took.
+    ``block_size`` is the number of vec coordinates in the block reachable
+    from rho0, ``window`` the levels (lo, hi) of the last window the state
+    was propagated on, and ``matvecs`` the number of sparse products the
+    propagation took, those of steps redone on a wider window included.
     """
 
     times: np.ndarray
@@ -144,6 +156,7 @@ class TrajectoryResult:
     expectations: dict = field(default_factory=dict)
     block_size: int = 0
     matvecs: int = 0
+    window: tuple = (0, 0)
 
 
 def liouvillian_apply(spec: LindbladSpec, rho: np.ndarray) -> np.ndarray:
@@ -247,7 +260,25 @@ def _truncate(spec: LindbladSpec, lo: int, hi: int) -> LindbladSpec:
                         tuple((rate, op[lo:hi, lo:hi]) for rate, op in spec.dissipators))
 
 
-# Levels of the first window :func:`steady_solution` tries, from the top of the ladder.
+def _edge_width(spec: LindbladSpec) -> int:
+    """w = max(bw(H), 2 bw(A_k)): the levels over which L couples a window to the rest."""
+    return max([_bandwidth(spec.hamiltonian)] + [2 * _bandwidth(op) for _, op in spec.dissipators])
+
+
+def _grown(lo: int, hi: int, grow: tuple, d: int) -> tuple:
+    """The window of levels after [lo, hi) when the edges flagged in ``grow`` (lower, upper) fail.
+
+    Each failing edge moves out by half the window size (1.5x growth), and a
+    window of at least 2d/3 levels is the whole ladder, since its next growth
+    would cover the ladder anyway.
+    """
+    step = (hi - lo + 1) // 2
+    lo, hi = (max(lo - step, 0) if grow[0] else lo), (min(hi + step, d) if grow[1] else hi)
+    return (0, d) if 3 * (hi - lo) >= 2 * d else (lo, hi)
+
+
+# Levels of the first window :func:`steady_solution` tries, from the top of the
+# ladder; :func:`evolve` widens the support of rho0 by half of it on each side.
 _FIRST_WINDOW = 40
 
 
@@ -342,11 +373,9 @@ def steady_solution(spec: LindbladSpec, tol: float = 1e-10,
     if not any(rate > 0 for rate, _ in spec.dissipators):
         raise ValueError("steady_state requires a dissipator with a positive rate")
     d = spec.dim
-    width = max([_bandwidth(spec.hamiltonian)] + [2 * _bandwidth(op) for _, op in spec.dissipators])
-    lo, hi = 0, min(d, _FIRST_WINDOW)
+    width = _edge_width(spec)
+    lo, hi = _grown(0, min(d, _FIRST_WINDOW), (False, False), d)
     while True:
-        if 3 * (hi - lo) >= 2 * d:  # its next growth would cover the ladder anyway
-            lo, hi = 0, d
         win = _Window(spec, lo, hi, width)
         rho, res, grow = None, np.inf, (False, False)
         for row in (0, win.m - 1):
@@ -365,8 +394,7 @@ def steady_solution(spec: LindbladSpec, tol: float = 1e-10,
                 break
         if not any(grow):
             break
-        step = (win.m + 1) // 2
-        lo, hi = (max(lo - step, 0) if grow[0] else lo), (min(hi + step, d) if grow[1] else hi)
+        lo, hi = _grown(lo, hi, grow, d)
 
     if res > tol:
         logger.info("direct steady-state residual %.3e > tol, falling back to relaxation", res)
@@ -412,13 +440,14 @@ def _steady_by_integration(win: _Window, tol: float):
     10 and stop at t = 1e4.
     """
     rho = maximally_mixed(win.m)
-    propagator = _Propagator(win.lv_r, win.idx, win.m)
-    x = propagator.to_real(rho.reshape(-1)[win.idx])
+    coords = _RealCoordinates(win.lv_r, win.idx, win.m)
+    taylor = _Taylor(coords.generator)
+    x = coords.to_real(rho.reshape(-1)[win.idx])
     t, horizon = 0.0, 10.0
     res = win.residual(rho)
     while t < 1e4 and res > tol:
-        x = propagator.step(x, horizon)
-        rho = win.state(propagator.to_block @ x)
+        x = taylor.step(x, horizon)
+        rho = win.state(coords.to_block @ x)
         t += horizon
         horizon *= 2.0
         res = win.residual(rho)
@@ -441,8 +470,65 @@ _THETA = {
 }
 
 
-class _Propagator:
-    """exp(dt L) on Hermitian states, in real coordinates, by the Taylor method of Al-Mohy & Higham.
+class _Taylor:
+    """exp(dt A) x for a real sparse generator A by the truncated Taylor method of Al-Mohy & Higham.
+
+    Set up once per generator: A is shifted by mu = tr(A)/n and the exact
+    1-norm of the shifted matrix is taken.  Each step of length dt picks the
+    first (m, s) that minimises m*s with s = ceil(dt ||A - mu||_1 / theta_m),
+    cached per step length, takes s substeps of the m-term Taylor series of
+    exp(dt (A - mu) / s) with the early stop of the paper, and rescales by
+    exp(dt mu / s).  This works to double precision with no tolerance to
+    choose.  Wherever dt ||A - mu||_1 <= 63.4 (their condition 3.13) it takes
+    the same (m, s) as ``expm_multiply``; above that it takes more substeps,
+    never fewer.  ``matvecs`` counts the products.
+    """
+
+    def __init__(self, generator: sp.csr_matrix):
+        n = generator.shape[0]
+        self.mu = generator.diagonal().sum() / n
+        self.a = generator - self.mu * sp.identity(n, format="csr")
+        self.norm = float(abs(self.a).sum(axis=0).max())
+        self.matvecs = 0
+        self._params = {}
+        self._abs = np.empty(n)
+
+    def _degree_and_substeps(self, dt: float) -> tuple:
+        if dt not in self._params:
+            scaled = dt * self.norm
+            self._params[dt] = (0, 1) if scaled == 0.0 else min(
+                ((k, int(np.ceil(scaled / theta))) for k, theta in _THETA.items()),
+                key=lambda ms: ms[0] * ms[1])
+        return self._params[dt]
+
+    def step(self, x: np.ndarray, dt: float) -> np.ndarray:
+        """exp(dt A) x as a new array."""
+        m, s = self._degree_and_substeps(dt)
+        eta = np.exp(dt * self.mu / s)
+        f = np.array(x, dtype=np.float64)
+        for _ in range(s):
+            b = f
+            c1 = f_max = np.abs(b, out=self._abs).max()
+            for j in range(m):
+                b = self.a @ b
+                b *= dt / (s * (j + 1))
+                self.matvecs += 1
+                c2 = np.abs(b, out=self._abs).max()
+                f += b
+                # max|f| <= (previous max|f| + c2)(1 + 2^-51), rounding included,
+                # so the exact max is needed only where that bound could pass the stop test.
+                f_max = (f_max + c2) * (1.0 + 2.0**-51)
+                if c1 + c2 <= 2.0**-53 * f_max:
+                    f_max = np.abs(f, out=self._abs).max()
+                    if c1 + c2 <= 2.0**-53 * f_max:
+                        break
+                c1 = c2
+            f *= eta
+        return f
+
+
+class _RealCoordinates:
+    """The generator on the Hermitian states of a block, in real coordinates.
 
     ``lv`` is the generator on the vec coordinates ``idx`` of a d x d state,
     a block closed under (i, j) -> (j, i).  L(rho+) = L(rho)+, so on Hermitian
@@ -450,15 +536,8 @@ class _Propagator:
     then Im rho_ij for i < j, one per block coordinate.  ``to_block`` maps x
     back to the block (at most two entries per row), and the real generator
     is L_R = [Re (L to_block) on the rows i <= j; Im (L to_block) on i < j].
-
-    Set up once per generator: L_R is shifted by mu = tr(L_R)/n and the exact
-    1-norm of the shifted matrix A is taken.  Each step of length dt picks the
-    first (m, s) that minimises m*s with s = ceil(dt ||A||_1 / theta_m), takes
-    s substeps of the m-term Taylor series of exp(dt A / s) with the early stop
-    of the paper, and rescales by exp(dt mu / s).  This works to double
-    precision with no tolerance to choose.  Wherever dt ||A||_1 <= 63.4 (their
-    condition 3.13) it takes the same (m, s) as ``expm_multiply``; above that
-    it takes more substeps, never fewer.  ``matvecs`` counts the products.
+    ``low`` and ``high`` are the levels min(i, j) and max(i, j) of each real
+    coordinate.
     """
 
     def __init__(self, lv: sp.csr_matrix, idx: np.ndarray, d: int):
@@ -475,41 +554,38 @@ class _Propagator:
         vals = np.concatenate((np.ones(n), 1j * sign[off]))
         self.to_block = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
         lt = (lv @ self.to_block).tocsr()
-        lv_real = sp.vstack((lt[self.upper].real, lt[self.strict].imag), format="csr")
-        lv_real.eliminate_zeros()
-        self.mu = lv_real.diagonal().sum() / n
-        self.a = lv_real - self.mu * sp.identity(n, format="csr")
-        self.norm = float(abs(self.a).sum(axis=0).max())
-        self.matvecs = 0
+        self.generator = sp.vstack((lt[self.upper].real, lt[self.strict].imag), format="csr")
+        self.generator.eliminate_zeros()
+        of_x = np.concatenate((self.upper, self.strict))  # the block coordinate of each x
+        self.low, self.high = np.minimum(i, j)[of_x], np.maximum(i, j)[of_x]
+        self.d = d
 
     def to_real(self, vec: np.ndarray) -> np.ndarray:
         """Real coordinates of a Hermitian state given on the block."""
         return np.concatenate((vec[self.upper].real, vec[self.strict].imag))
 
-    def step(self, x: np.ndarray, dt: float) -> np.ndarray:
-        """exp(dt L_R) x as a new array."""
-        scaled = dt * self.norm
-        if scaled == 0.0:
-            m, s = 0, 1
-        else:
-            m, s = min(((k, int(np.ceil(scaled / theta))) for k, theta in _THETA.items()),
-                       key=lambda ms: ms[0] * ms[1])
-        eta = np.exp(dt * self.mu / s)
-        f = np.array(x, dtype=np.float64)
-        for _ in range(s):
-            b = f
-            c1 = np.abs(b).max()
-            for j in range(m):
-                b = self.a @ b
-                b *= dt / (s * (j + 1))
-                self.matvecs += 1
-                c2 = np.abs(b).max()
-                f += b
-                if c1 + c2 <= 2.0**-53 * np.abs(f).max():
-                    break
-                c1 = c2
-            f *= eta
-        return f
+
+class _LevelWindow:
+    """The coordinates of a :class:`_RealCoordinates` whose two levels both lie in [lo, hi).
+
+    ``sel`` selects them and ``taylor`` steps the real generator sliced to
+    them, with the slice's own shift and 1-norm.  ``edges`` selects, within
+    ``sel``, the coordinates within ``width`` levels of the lower and the upper
+    edge, or is None for an edge at the end of the ladder, which cannot move.
+    """
+
+    def __init__(self, coords: _RealCoordinates, lo: int, hi: int, width: int):
+        self.sel = np.flatnonzero((coords.low >= lo) & (coords.high < hi))
+        self.taylor = _Taylor(coords.generator[self.sel][:, self.sel])
+        low, high = coords.low[self.sel], coords.high[self.sel]
+        self.edges = (np.flatnonzero(low < lo + width) if lo > 0 else None,
+                      np.flatnonzero(high >= hi - width) if hi < coords.d else None)
+
+    def edges_over(self, y: np.ndarray) -> tuple:
+        """Whether each edge, lower and upper, can move and has an entry of ``y`` > 2^-53 max|y|."""
+        tol = 2.0**-53 * np.abs(y).max()
+        return tuple(rows is not None and bool(np.abs(y[rows]).max(initial=0.0) > tol)
+                     for rows in self.edges)
 
 
 def _reachable_block(lv: sp.csr_matrix, vec: np.ndarray):
@@ -554,13 +630,16 @@ def evolve(
 ) -> TrajectoryResult:
     """Propagate rho0 from t = 0 through the increasing output ``times``.
 
-    rho0 must be Hermitian (to ``HERMITIAN_TOL``): the Liouvillian is sliced
-    to the block reachable from the support of rho0 (see the module
-    docstring), and a propagator is set up once for it in the real
-    coordinates of Hermitian states on that block (shift and exact 1-norm).
-    rho0 enters through its upper triangle.  Each step between consecutive
-    output times takes the Al-Mohy & Higham Taylor parameters for its length
-    and works to double precision, so there is no tolerance to choose; each
+    rho0 must be Hermitian (to ``HERMITIAN_TOL``) and nonzero: the
+    Liouvillian is assembled once and sliced to the block reachable from the
+    support of rho0 (see the module docstring), and its real generator on the
+    Hermitian states of that block is built once.  rho0 enters through its
+    upper triangle.  The state is propagated on a window of ladder levels,
+    from the levels rho0 occupies widened by 20 on each side; a step after
+    which the state reaches an edge that can move is redone on a wider
+    window.  Each step between consecutive output times takes the Al-Mohy &
+    Higham Taylor parameters for its length on the window's generator and
+    works to double precision, so there is no tolerance to choose; each
     stored state is mapped back to complex coordinates.  ``states`` is a
     ``(len(times), d, d)`` array.  ``observables`` maps names to operators
     whose expectation values Tr(op rho(t)) are evaluated on all states in one
@@ -579,20 +658,37 @@ def evolve(
         raise ValueError("initial state dimension mismatch")
     if np.max(np.abs(rho0 - rho0.conj().T)) > HERMITIAN_TOL:
         raise ValueError("initial state must be Hermitian")
+    occupied = np.flatnonzero(np.any(rho0 != 0, axis=0) | np.any(rho0 != 0, axis=1))
+    if len(occupied) == 0:
+        raise ValueError("initial state must be nonzero")
 
     idx, lv_r = _reachable_block(liouvillian_matrix(spec), rho0.reshape(-1))
-    propagator = _Propagator(lv_r, idx, d)
+    coords = _RealCoordinates(lv_r, idx, d)
     if keep_states:
-        support, dst, back = None, idx, propagator.to_block
+        support, dst, back = None, idx, coords.to_block
     else:
         # Without kept states only the reachable coordinates the observables read are stored.
         support = np.intersect1d(idx, expectation_support(observables)) if observables else idx[:0]
-        dst, back = slice(None), propagator.to_block[np.searchsorted(idx, support)]
+        dst, back = slice(None), coords.to_block[np.searchsorted(idx, support)]
     stack = np.zeros((len(times), d * d if keep_states else len(support)), dtype=np.complex128)
-    x, t_prev = propagator.to_real(rho0.reshape(-1)[idx]), 0.0
+    half = _FIRST_WINDOW // 2
+    lo, hi = _grown(max(int(occupied[0]) - half, 0), min(int(occupied[-1]) + 1 + half, d),
+                    (False, False), d)
+    width = _edge_width(spec)
+    win, matvecs = _LevelWindow(coords, lo, hi, width), 0
+    x, t_prev = coords.to_real(rho0.reshape(-1)[idx]), 0.0
     for k, t in enumerate(times):
         if t > t_prev:
-            x = propagator.step(x, t - t_prev)
+            while True:
+                y = win.taylor.step(x[win.sel], t - t_prev)
+                grow = win.edges_over(y)
+                if not any(grow):
+                    break
+                # The state reached an edge that can move: redo the step on a wider window.
+                lo, hi = _grown(lo, hi, grow, d)
+                matvecs += win.taylor.matvecs
+                win = _LevelWindow(coords, lo, hi, width)
+            x[win.sel] = y
             t_prev = t
         stack[k, dst] = back @ x
 
@@ -601,7 +697,8 @@ def evolve(
         states=stack.reshape(len(times), d, d) if keep_states else None,
         expectations=expectation_values(observables, stack, support) if observables else {},
         block_size=len(idx),
-        matvecs=propagator.matvecs,
+        matvecs=matvecs + win.taylor.matvecs,
+        window=(lo, hi),
     )
 
 

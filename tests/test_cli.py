@@ -355,7 +355,10 @@ def test_engine_commands_load_the_engine_when_planning(tmp_path, command):
     # Loaded in the main process before the pool forks, so no worker imports it again.
     cfg = write_config(tmp_path, TINY_RUNS[command])
     plan = f"from dlmg import cli\ncli._plan({command!r}, cli.parse_config_text(open({str(cfg)!r}).read()))"
-    assert {"scipy.sparse", "scipy.linalg"} <= set(_loaded_heavy_scipy(plan))
+    engine = {"scipy.sparse", "scipy.linalg"}
+    if command == "qfunc":  # for the coherent-state amplitudes of the Q-function
+        engine.add("scipy.special")
+    assert engine <= set(_loaded_heavy_scipy(plan))
 
 
 @pytest.mark.parametrize("command", ["steady", "dynamics", "qfunc"])
@@ -385,7 +388,7 @@ def test_dynamics_manifest_records_block_size_and_matvecs(tmp_path):
     assert cli.main(["dynamics", "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 0
     points = json.loads((out / "manifest.json").read_text())["points"]
     assert len(points) == 3
-    assert all(p["block_size"] == 13 and p["matvecs"] > 0 for p in points)
+    assert all(p["block_size"] == 13 and p["matvecs"] > 0 and p["window"] == 5 for p in points)
 
 
 def _report_blas_threads(task):

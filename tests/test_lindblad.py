@@ -572,7 +572,8 @@ def test_evolve_single_large_step_matches_dense_expm():
     spec = gamma0_spec(n, h=1.0, lam=1.4, gamma_a=0.05, gamma_b=0.2)
     rho0 = all_up_state(n)
     idx, lv_r = lindblad._reachable_block(liouvillian_matrix(spec), rho0.reshape(-1))
-    assert dt * lindblad._Propagator(lv_r, idx, n + 1).norm > 10 * 63.4
+    generator = lindblad._RealCoordinates(lv_r, idx, n + 1).generator
+    assert dt * lindblad._Taylor(generator).norm > 10 * 63.4
     traj = evolve(spec, rho0, [dt])
     assert np.max(np.abs(traj.states - full_space_expm_states(spec, rho0, [dt]))) <= 1e-12
 
@@ -639,6 +640,112 @@ def test_evolve_one_sided_coherence_keeps_states_hermitian():
     assert traj.block_size == 3 * n + 1
     assert all(np.array_equal(state, state.conj().T) for state in traj.states)
     assert traj.states[-1, 2, 3] != 0
+
+
+@pytest.mark.parametrize("n,lam,k,times,window", [
+    (80, 0.2, 0, np.linspace(0.0, 10.0, 11), (0, 32)),  # stays on a window from the top
+    (80, 2.0, 0, np.linspace(0.0, 10.0, 11), (0, 81)),  # grows to the whole ladder
+    (200, 0.1, 100, np.linspace(0.0, 1.0, 5), (17, 142)),  # both edges move
+])
+def test_evolve_on_a_window_matches_expm_multiply(n, lam, k, times, window):
+    spec = gamma0_spec(n, h=1.0, lam=lam, gamma_a=0.01, gamma_b=0.2)
+    rho0 = dicke_state(n, n / 2 - k)
+    traj = evolve(spec, rho0, times)
+    assert traj.window == window
+    oracle = expm_multiply(liouvillian_matrix(spec), rho0.reshape(-1), start=times[0],
+                           stop=times[-1], num=len(times), endpoint=True)
+    assert np.max(np.abs(traj.states.reshape(len(times), -1) - oracle)) <= 1e-12
+
+
+def full_ladder_states(spec, rho0, times):
+    """Oracle: the Taylor stepper on the real generator of the whole reachable block, no window."""
+    d = spec.dim
+    idx, lv_r = lindblad._reachable_block(liouvillian_matrix(spec), rho0.reshape(-1))
+    coords = lindblad._RealCoordinates(lv_r, idx, d)
+    taylor = lindblad._Taylor(coords.generator)
+    x, t_prev, states = coords.to_real(rho0.reshape(-1)[idx]), 0.0, []
+    for t in times:
+        if t > t_prev:
+            x, t_prev = taylor.step(x, t - t_prev), t
+        vec = np.zeros(d * d, dtype=complex)
+        vec[idx] = coords.to_block @ x
+        states.append(vec.reshape(d, d))
+    return np.array(states)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(
+    model=st.sampled_from(["gamma0", "isotropic", "conventional"]),
+    n=st.integers(31, 120),
+    start=st.floats(0.0, 1.0),
+    h=st.floats(-1.0, 2.0),
+    lam=st.floats(0.0, 2.0),
+    gamma_a=st.floats(0.0, 0.5),
+    gamma_b=st.floats(0.0, 0.5),
+    t_end=st.floats(0.1, 10.0),
+    points=st.integers(1, 21),
+)
+def test_evolve_on_a_window_matches_the_whole_ladder(model, n, start, h, lam, gamma_a, gamma_b,
+                                                      t_end, points):
+    spec = _model_spec(model, n, h, lam, gamma_a, gamma_b, 0.6, 0.8)
+    rho0 = dicke_state(n, n / 2 - round(start * n))
+    times = np.linspace(t_end / points, t_end, points)
+    traj = evolve(spec, rho0, times)
+    assert np.max(np.abs(traj.states - full_ladder_states(spec, rho0, times))) <= 1e-12
+
+
+def test_evolve_assembles_the_liouvillian_once(monkeypatch):
+    # The window grows from 21 levels to the whole ladder by slicing one generator.
+    calls = []
+    assemble = lindblad.liouvillian_matrix
+    monkeypatch.setattr(lindblad, "liouvillian_matrix",
+                        lambda spec: calls.append(spec) or assemble(spec))
+    spec = gamma0_spec(80, h=1.0, lam=2.0, gamma_a=0.01, gamma_b=0.2)
+    traj = evolve(spec, all_up_state(80), np.linspace(0.0, 10.0, 11))
+    assert traj.window == (0, 81) and len(calls) == 1
+
+
+def reference_taylor_step(taylor, x, dt):
+    """Oracle: the Taylor loop with the exact max|f| at every product, and its product count."""
+    scaled = dt * taylor.norm
+    m, s = min(((k, int(np.ceil(scaled / theta))) for k, theta in lindblad._THETA.items()),
+               key=lambda ms: ms[0] * ms[1])
+    eta, f, matvecs = np.exp(dt * taylor.mu / s), np.array(x, dtype=np.float64), 0
+    for _ in range(s):
+        b = f
+        c1 = np.abs(b).max()
+        for j in range(m):
+            b = taylor.a @ b
+            b *= dt / (s * (j + 1))
+            matvecs += 1
+            c2 = np.abs(b).max()
+            f += b
+            if c1 + c2 <= 2.0**-53 * np.abs(f).max():
+                break
+            c1 = c2
+        f *= eta
+    return f, matvecs
+
+
+def test_taylor_step_matches_the_exact_stop_test_bit_for_bit():
+    n = 30
+    spec = gamma0_spec(n, h=1.0, lam=1.4, gamma_a=0.05, gamma_b=0.2)
+    rho0 = all_up_state(n)
+    idx, lv_r = lindblad._reachable_block(liouvillian_matrix(spec), rho0.reshape(-1))
+    coords = lindblad._RealCoordinates(lv_r, idx, n + 1)
+    taylor = lindblad._Taylor(coords.generator)
+    x = coords.to_real(rho0.reshape(-1)[idx])
+    for dt in (1e-3, 0.1, 0.1, 2.5, 40.0):
+        expected, matvecs = reference_taylor_step(taylor, x, dt)
+        before = taylor.matvecs
+        x = taylor.step(x, dt)
+        assert np.array_equal(x, expected) and taylor.matvecs - before == matvecs
+
+
+def test_evolve_rejects_a_zero_initial_state():
+    spec = gamma0_spec(4, h=1.0, lam=0.5, gamma_a=0.01, gamma_b=0.2)
+    with pytest.raises(ValueError, match="nonzero"):
+        evolve(spec, np.zeros((5, 5)), [0.0, 1.0])
 
 
 def test_evolve_rejects_bad_times():
