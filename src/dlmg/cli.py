@@ -42,14 +42,16 @@ files, and per-point diagnostics, including each point's wall time
 ``block_size``, the ``matvecs`` it took (retried steps included) and the
 number of ladder levels of its last window (``window``); for steady and
 qfunc, the number of ladder levels the steady state was solved on
-(``window``) and its full-space ``residual``.  A steady state that fails
-``lindblad.validate_density_matrix`` on its window (outside which it is
-zero) fails its point.  A point that raises is recorded with its error (and
-the residual, if the error carries one) and left out of the CSV files, and
-the run goes on.  Exit
-code 0 means full success, 2 that some points failed, 1 a configuration
-error or an output error (an ``OSError`` creating or writing ``--out``).  The
-env var ``DLMG_LOG`` (debug/info/warning/error) selects log verbosity.
+(``window``), its full-space ``residual``, the level count of every window
+tried, the accepted one last (``windows``), and the number of entries
+SuperLU stored for L and U of the accepted factorization (``lu_nnz``).  A
+steady state that fails ``lindblad.validate_density_matrix`` on its window
+(outside which it is zero) fails its point.  A point that raises is recorded
+with its error (and the residual, if the error carries one) and left out of
+the CSV files, and the run goes on.  Exit code 0 means full success, 2 that
+some points failed, 1 a configuration error or an output error (an
+``OSError`` creating or writing ``--out``).  The env var ``DLMG_LOG``
+(debug/info/warning/error) selects log verbosity.
 """
 
 from __future__ import annotations
@@ -396,7 +398,10 @@ def _hp_dynamics_curve(params: LMGParams, times, offset: float = SINGULAR_OFFSET
 
 
 def _steady_rho(params: LMGParams, algebra):
-    """Steady state of the gamma = 0 model and its manifest record (``window``, ``residual``).
+    """Steady state of the gamma = 0 model and its manifest record.
+
+    The record holds ``window``, ``residual``, ``lu_nnz`` and ``windows``
+    (see :class:`lindblad.SteadySolution`).
 
     Raises SteadyStateError if the state fails the density-matrix check on
     its window, outside which it is zero.
@@ -409,24 +414,22 @@ def _steady_rho(params: LMGParams, algebra):
         validate_density_matrix(sol.rho[lo:hi, lo:hi])
     except ValueError as exc:
         raise SteadyStateError(f"unphysical steady state: {exc}", residual=sol.residual) from None
-    return sol.rho, {"window": hi - lo, "residual": sol.residual}
+    return sol.rho, {"window": hi - lo, "residual": sol.residual, "lu_nnz": sol.lu_nnz,
+                     "windows": list(sol.windows)}
 
 
 def _steady_point(task):
-    from .observables import entanglement_curve, hp_entanglement
-    from .operators import build_algebra, expectation
+    from .observables import _second_moments, entanglement_curve, hp_entanglement
+    from .operators import build_algebra
 
     params, value, outputs, columns, offset = task
     algebra = build_algebra(params.n_atoms)
     rho, record = _steady_rho(params, algebra)
+    # Every collective moment is read once; the columns and C_R share them.
+    spin = _second_moments(rho, algebra)
     j2 = (params.n_atoms / 2.0) ** 2
-    row = {
-        "lambda": params.lam,
-        "h": params.h,
-        "jx2": expectation(algebra.jx @ algebra.jx, rho).real / j2,
-        "jy2": expectation(algebra.jy @ algebra.jy, rho).real / j2,
-        "jz2": expectation(algebra.jz @ algebra.jz, rho).real / j2,
-    }
+    row = {"lambda": params.lam, "h": params.h,
+           **{name: spin[name] / j2 for name in ("jx2", "jy2", "jz2")}}
     fp_sel = selected_branch(params)
     row["sc_branch"] = fp_sel.branch
     row["sc_x"], row["sc_y"], row["sc_z"] = fp_sel.state.x, fp_sel.state.y, fp_sel.state.z
@@ -436,7 +439,7 @@ def _steady_point(task):
     if outputs & {"entanglement", "cphi", "eigenvalues"}:
         moments = _hp_steady(params, fp_sel, offset)
     if outputs & {"entanglement", "cphi"}:
-        ent = entanglement_curve(rho, algebra)
+        ent = entanglement_curve(rho, algebra, moments=spin)
         row["c_r"] = ent.c_r
         row["phi_star"] = ent.phi_star
         row["c_r_hp"] = np.nan if moments is None else hp_entanglement(moments).c_r

@@ -63,6 +63,7 @@ def _moment_operators(algebra: DickeAlgebra) -> dict:
 
 
 def _second_moments(rho: np.ndarray, algebra: DickeAlgebra) -> dict:
+    """The expectations of :func:`_moment_operators` in ``rho``, real but for ``"jp2"``."""
     moments = {name: expectation(op, rho) for name, op in _moment_operators(algebra).items()}
     return {name: v if name == "jp2" else v.real for name, v in moments.items()}
 
@@ -90,24 +91,30 @@ def c_phi(rho: np.ndarray, algebra: DickeAlgebra, phi: float) -> float:
     return _c_phi_from_moments(m, algebra.n_spins, phi)
 
 
-def _c_phi_from_moments(m: dict, n: int, phi: float) -> float:
+def _c_phi_from_moments(m: dict, n: int, phi):
+    """C_phi from the moments of :func:`_second_moments`; ``phi`` may be an array of angles."""
     s, c = np.sin(phi), np.cos(phi)
     mean = s * m["jx"] + c * m["jy"]
-    second = s**2 * m["jx2"] + c**2 * m["jy2"] + s * c * m["jxjy_sym"]
-    var = second - mean**2
-    return 1.0 - (4.0 / n) * var - (4.0 / n**2) * mean**2
+    # Products, not **2: a numpy scalar's square may round apart from an array's.
+    second = s * s * m["jx2"] + c * c * m["jy2"] + s * c * m["jxjy_sym"]
+    var = second - mean * mean
+    return 1.0 - (4.0 / n) * var - (4.0 / n**2) * (mean * mean)
 
 
-def entanglement_curve(rho: np.ndarray, algebra: DickeAlgebra, n_phi: int = 720) -> EntanglementResult:
+def entanglement_curve(rho: np.ndarray, algebra: DickeAlgebra, n_phi: int = 720,
+                       moments: dict | None = None) -> EntanglementResult:
     """C_phi over a phi grid plus the rescaled concurrence.
 
-    The optimum phi is located on the (pi-periodic) coarse grid and polished
-    by golden-section search to 1e-6.
+    C_phi is evaluated on the whole grid at once.  The optimum phi is located
+    on the (pi-periodic) coarse grid and polished by golden-section search to
+    1e-6.  ``moments``, if given, are ``_second_moments(rho, algebra)``,
+    already read by the caller.
     """
-    moments = _second_moments(rho, algebra)
+    if moments is None:
+        moments = _second_moments(rho, algebra)
     n = algebra.n_spins
     phis = np.linspace(0.0, np.pi, n_phi, endpoint=False)
-    curve = np.array([_c_phi_from_moments(moments, n, p) for p in phis])
+    curve = _c_phi_from_moments(moments, n, phis)
 
     i_best = int(np.argmax(curve))
     phi_star = float(phis[i_best])

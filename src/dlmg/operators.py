@@ -101,13 +101,16 @@ def expectation(op, rho: np.ndarray) -> complex:
 
     ``op`` is a scipy sparse matrix, such as the operators of
     :class:`DickeAlgebra`, or a dense ndarray; ``rho`` is a density matrix
-    (plain ndarray).
+    (plain ndarray).  For a sparse ``op`` the sum runs over its stored
+    entries only: op_ik times the gathered rho_ki.
     """
     rho = np.asarray(rho)
     if rho.shape != (op.shape[0], op.shape[0]):
         raise ValueError(f"dimension mismatch: operator {op.shape}, state {rho.shape}")
     if sp.issparse(op):
-        return complex(op.multiply(rho.T).sum())
+        op = op.tocsr()
+        rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+        return complex(np.dot(op.data, rho[op.indices, rows]))
     return complex(np.sum(op * rho.T))
 
 

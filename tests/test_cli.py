@@ -278,6 +278,43 @@ def test_qfunc_manifest_records_window_and_residual(tmp_path):
     assert all(p["window"] == 5 and p["residual"] <= 1e-10 for p in points)
 
 
+def _record_fill(monkeypatch) -> list:
+    """The L+U entries of every steady-state factorization from here on, in call order."""
+    from dlmg import lindblad
+
+    nnz, factorize = [], lindblad._factorize
+
+    def recording(mat):
+        lu = factorize(mat)
+        nnz.append(lu.nnz)
+        return lu
+
+    monkeypatch.setattr(lindblad, "_factorize", recording)
+    return nnz
+
+
+def test_steady_manifest_records_windows_and_fill(tmp_path, monkeypatch):
+    # At N=100, lambda=1.46 the state fills the ladder: 40 and 60 levels fail first.
+    nnz = _record_fill(monkeypatch)
+    cfg = write_config(tmp_path, {**FAST_STEADY, "n_atoms": "100", "sweep.start": "1.46",
+                                  "sweep.stop": "1.5", "sweep.points": "2", "outputs": "moments"})
+    out = tmp_path / "out"
+    assert cli.main(["steady", "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 0
+    point = json.loads((out / "manifest.json").read_text())["points"][0]
+    assert point["windows"] == [40, 60, 101] and point["window"] == 101
+    assert point["lu_nnz"] == nnz[2]
+
+
+def test_qfunc_manifest_records_windows_and_fill(tmp_path, monkeypatch):
+    nnz = _record_fill(monkeypatch)
+    cfg = write_config(tmp_path, {**TINY_RUNS["qfunc"], "n_atoms": "4"})
+    out = tmp_path / "out"
+    assert cli.main(["qfunc", "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 0
+    points = json.loads((out / "manifest.json").read_text())["points"]
+    assert [p["windows"] for p in points] == [[5], [5]]
+    assert [p["lu_nnz"] for p in points] == nnz and all(n > 0 for n in nnz)
+
+
 def test_subnormal_field_runs(tmp_path):
     # y = Gamma_b x / (2h) * z overflowed for 0 < |h| < 2.2e-308, and every
     # point failed in the stability check of the broken pair.

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
@@ -258,6 +259,98 @@ def _model_spec(model, n, h, lam, gamma_a, gamma_b, alpha, beta):
     return build_conventional(params, alg, alpha, beta)
 
 
+def dense_spec(spec):
+    """H and the (rate, A_k) pairs of ``spec`` as dense arrays, for the elementwise oracle."""
+    return spec.hamiltonian.toarray(), [(rate, op.toarray()) for rate, op in spec.dissipators]
+
+
+def truncated_spec(spec, lo, hi):
+    """``spec`` with H and every collapse operator cut down to the levels [lo, hi)."""
+    return LindbladSpec(spec.hamiltonian[lo:hi, lo:hi],
+                        tuple((rate, op[lo:hi, lo:hi]) for rate, op in spec.dissipators))
+
+
+@pytest.mark.parametrize("model", ["gamma0", "isotropic", "conventional"])
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_liouvillian_matrix_matches_elementwise_oracle(model, n):
+    spec = _model_spec(model, n, 0.7, 1.3, 0.05, 0.2, 0.6, 0.8)
+    oracle = elementwise_superoperator(*dense_spec(spec))
+    assert np.max(np.abs(liouvillian_matrix(spec).toarray() - oracle)) <= 1e-13
+
+
+@pytest.mark.parametrize("model", ["gamma0", "isotropic", "conventional"])
+@pytest.mark.parametrize("window", [(0, 6), (7, 14), (15, 21), (0, 21)])
+def test_windowed_liouvillian_matches_the_truncated_spec(model, window):
+    # Windows at the top, in the middle and at the bottom of the ladder, and the whole ladder.
+    spec = _model_spec(model, 20, 0.7, 1.3, 0.05, 0.2, 0.6, 0.8)
+    lo, hi = window
+    lv = liouvillian_matrix(spec, window)
+    assert lv.shape == ((hi - lo) ** 2,) * 2
+    assert abs(lv - liouvillian_matrix(truncated_spec(spec, lo, hi))).max() <= 1e-13
+    if hi - lo <= 7:
+        oracle = elementwise_superoperator(*dense_spec(truncated_spec(spec, lo, hi)))
+        assert np.max(np.abs(lv.toarray() - oracle)) <= 1e-13
+
+
+def colamd_factorize(mat):
+    """SuperLU with its default COLAMD ordering and partial pivoting."""
+    return spla.splu(mat.tocsc(), permc_spec="COLAMD")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    model=st.sampled_from(["gamma0", "isotropic", "conventional"]),
+    n=st.integers(1, 60),
+    h=st.floats(-2.0, 2.0),
+    lam=st.floats(0.0, 3.0),
+    gamma_a=st.floats(-6.0, 0.0).map(lambda e: 10.0**e),
+    gamma_b=st.floats(-6.0, 0.0).map(lambda e: 10.0**e),
+    alpha=st.floats(0.2, 1.0),
+    beta=st.floats(0.2, 1.0),
+)
+def test_symmetric_mode_solve_agrees_with_colamd(model, n, h, lam, gamma_a, gamma_b, alpha, beta):
+    tol = 1e-10
+    spec = _model_spec(model, n, h, lam, gamma_a, gamma_b, alpha, beta)
+    sol = steady_solution(spec, tol=tol)
+    assert sol.residual <= tol
+    assert np.max(np.abs(liouvillian_apply(spec, sol.rho))) <= tol
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lindblad, "_factorize", colamd_factorize)
+        ref = steady_solution(spec, tol=tol, check_unique=False)
+    assert ref.window == sol.window
+    assert np.max(np.abs(sol.rho - ref.rho)) <= 1e-9
+
+
+@pytest.mark.parametrize("n,h,lam,rate,alpha,beta", [
+    (107, 1.38356, 1.76365, 2.12818e-6, 0.446968, 0.453901),
+    (25, -1.34777, 2.99641, 1.63098e-6, 0.315212, 0.395452),
+])
+def test_weak_rate_conventional_points_pass_the_uniqueness_probe(n, h, lam, rate, alpha, beta):
+    # A diagonal pivot threshold of 0 reported "two fixed points" at both.
+    spec = _model_spec("conventional", n, h, lam, rate, rate, alpha, beta)
+    sol = steady_solution(spec, tol=1e-10, check_unique=True)
+    assert sol.residual <= 1e-10
+    validate_density_matrix(sol.rho)
+
+
+def test_steady_solution_records_its_windows_and_fill():
+    spec = gamma0_spec(100, h=1.0, lam=1.46, gamma_a=0.01, gamma_b=0.2)
+    nnz = []
+    factorize = lindblad._factorize
+
+    def recording(mat):
+        lu = factorize(mat)
+        nnz.append(lu.nnz)
+        return lu
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lindblad, "_factorize", recording)
+        sol = steady_solution(spec, check_unique=False)
+    assert sol.window == (0, 101) and sol.windows == (40, 60, 101)
+    # One factorization per failed window, and the accepted one last.
+    assert len(nnz) == 3 and sol.lu_nnz == nnz[-1] > 101**2 // 2
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(
     model=st.sampled_from(["gamma0", "isotropic", "conventional"]),
@@ -368,7 +461,7 @@ def test_window_residual_is_the_full_space_residual(n, lam):
     assert sol.residual == pytest.approx(lindblad._residual(lv, sol.rho), rel=1e-6, abs=1e-18)
     # Exact also where the window is too small and the residual sits at its edge.
     win = lindblad._Window(spec, 0, 40, 2)
-    rho = win.state(lindblad._solve_block(win.lv_r, win.trace, 0))
+    rho = win.state(lindblad._solve_block(win.lv_r, win.trace, 0)[0])
     padded = np.zeros((spec.dim, spec.dim), dtype=complex)
     padded[:40, :40] = rho
     full = lindblad._residual(lv, padded)

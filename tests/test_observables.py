@@ -7,7 +7,9 @@ from dlmg.hp import MomentState, hp_coefficients, moment_steady_state
 from dlmg.lindblad import steady_state
 from dlmg.models import LMGParams, build_gamma0
 from dlmg.observables import (
+    _c_phi_from_moments,
     _coherent_state,
+    _second_moments,
     c_phi,
     entanglement_curve,
     hp_c_phi,
@@ -155,6 +157,21 @@ def test_concurrence_equals_optimal_witness_on_steady_states():
         res = entanglement_curve(rho, alg)
         best = max(0.0, res.c_phi.max(), c_phi(rho, alg, res.phi_star))
         assert res.c_r == pytest.approx(best, abs=1e-3)
+
+
+def test_entanglement_curve_equals_the_scalar_witness_at_every_angle():
+    # The curve is evaluated on the whole grid at once; every value is the scalar one.
+    for n, lam in ((3, 0.4), (20, 1.3), (60, 2.0)):
+        rho = model_steady(n, 1.0, lam, 0.01, 0.2)
+        alg = build_algebra(n)
+        moments = _second_moments(rho, alg)
+        res = entanglement_curve(rho, alg)
+        assert res.c_phi.shape == res.phi_grid.shape == (720,)
+        assert all(res.c_phi[k] == _c_phi_from_moments(moments, n, phi)
+                   for k, phi in enumerate(res.phi_grid))
+        shared = entanglement_curve(rho, alg, moments=moments)
+        assert np.array_equal(shared.c_phi, res.c_phi)
+        assert (shared.c_r, shared.phi_star) == (res.c_r, res.phi_star)
 
 
 def test_witness_width_narrows_like_inverse_sqrt_n():

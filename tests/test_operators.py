@@ -77,6 +77,16 @@ def test_expectation_examples():
     assert expectation(alg.jx @ alg.jx, rho) == pytest.approx(brute, abs=1e-12)
 
 
+@pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+def test_expectation_gathers_the_stored_entries(fmt):
+    # Tr(op rho) from the stored entries of op, in any sparse format, against the dense trace.
+    rng = np.random.default_rng(5)
+    op = sp.random(9, 9, density=0.3, random_state=7, format=fmt) * (1.0 - 2.0j)
+    a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    rho = a @ a.conj().T
+    assert expectation(op, rho) == pytest.approx(np.trace(op.toarray() @ rho), abs=1e-12)
+
+
 def test_expectation_hermitian_real():
     rng = np.random.default_rng(3)
     alg = build_algebra(7)
