@@ -34,8 +34,13 @@ numpy and scipy are set to one thread in the main process and in every
 worker (threaded BLAS gains nothing at these sizes, oversubscribes the cores
 of a pool and may change the last printed digits), so identical configs
 produce byte-identical CSV files at any ``--jobs`` wherever both copies could
-be pinned (no null in the manifest's ``blas_threads``).  Every run writes a
-``manifest.json`` recording the merged config, tool version, ``jobs``, the
+be pinned (no null in the manifest's ``blas_threads``).  Run as
+``python -m dlmg.cli``, the module also sets ``OPENBLAS_NUM_THREADS=1``
+before numpy loads, unless it is set already: otherwise each OpenBLAS copy
+starts a helper thread per further core when it loads, and each spins for
+about 0.1 s (about 0.2 s of CPU per process on a 2-core machine), which
+slows the process when the cores are shared.  ``import dlmg.cli`` leaves the
+environment alone.  Every run writes a ``manifest.json`` recording the merged config, tool version, ``jobs``, the
 thread count each BLAS library reports (``blas_threads``), wall time, output
 files, and per-point diagnostics, including each point's wall time
 ``wall_s`` measured in the worker; for dynamics, the propagated
@@ -66,6 +71,11 @@ import sys
 import time
 from multiprocessing import Pool
 from pathlib import Path
+
+if __name__ == "__main__":
+    # Run as the program: OpenBLAS then starts with one thread, as main pins it
+    # anyway, instead of starting helper threads that spin on the other cores.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import scipy

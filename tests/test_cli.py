@@ -446,6 +446,35 @@ def test_pool_workers_run_single_threaded_blas():
     assert [r["threads"] for r in results] == [{"numpy": 1, "scipy": 1}] * 2
 
 
+def _os_threads_after_loading_cli(load):
+    """OS threads of a fresh interpreter that ran ``load`` on dlmg.cli, then loaded scipy's BLAS."""
+    probe = ("import os, runpy, sys\n"
+             "sys.argv = ['dlmg', '--help']\n"
+             "try:\n"
+             f"    {load}\n"
+             "except SystemExit:\n"
+             "    pass\n"
+             "import scipy.linalg\n"
+             "print(len(os.listdir('/proc/self/task')))\n")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return int(out.split()[-1])
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+def test_cli_as_program_starts_no_blas_helper_threads():
+    # Imported as a library, dlmg.cli leaves OpenBLAS its default helper threads;
+    # run as the program, it starts numpy and scipy with one thread each.
+    if _os_threads_after_loading_cli("import dlmg.cli") == 1:
+        pytest.skip("OpenBLAS starts no helper threads here (one core, or no threaded BLAS)")
+    as_program = "runpy.run_module('dlmg.cli', run_name='__main__', alter_sys=True)"
+    assert _os_threads_after_loading_cli(as_program) == 1
+
+
 def test_block_template_prints_every_cell_as_fmt(tmp_path):
     # An ndarray block is printed with one "%.15g" template, a list of rows
     # cell by cell; both must print each number exactly as cli._fmt does.
