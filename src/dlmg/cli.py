@@ -14,11 +14,13 @@ command), an unknown name in ``outputs``, a ``sweep.variable`` other than
 ``lambda`` or ``h``, a ``model`` other than ``gamma0`` (the CLI runs the
 gamma=0 model only), a malformed value, a list of N for ``qfunc``, a
 ``dynamics.initial_m`` that is no spin projection m of some N in the sweep,
-``gamma_a = gamma_b = 0`` under ``steady`` or ``qfunc`` (no dissipation, so
-no unique steady state; ``dynamics`` then runs the unitary evolution), or,
-under ``spectrum``, a model key other than ``lambda``, ``h`` and
-``model`` (the spectrum derives its own parameters, so ``gamma_a``,
-``gamma_b``, ``n_atoms`` and ``micro.*`` would be ignored).
+a ``dynamics.t_points``, ``spectrum.nu_points``, ``qfunc.n_theta`` or
+``qfunc.n_phi`` below 1, a ``dynamics.t_end`` that is not positive and finite
+while ``dynamics.t_points`` >= 2, ``gamma_a = gamma_b = 0`` under ``steady``
+or ``qfunc`` (no dissipation, so no unique steady state; ``dynamics`` then
+runs the unitary evolution), or, under ``spectrum``, a model key other than
+``lambda``, ``h`` and ``model`` (the spectrum derives its own parameters,
+so ``gamma_a``, ``gamma_b``, ``n_atoms`` and ``micro.*`` would be ignored).
 
 Only ``steady``, ``dynamics`` and ``qfunc`` import the finite-N engine
 (``operators``, ``lindblad``, ``observables``: scipy.sparse and scipy.linalg,
@@ -51,12 +53,15 @@ qfunc, the number of ladder levels the steady state was solved on
 tried, the accepted one last (``windows``), and the number of entries
 SuperLU stored for L and U of the accepted factorization (``lu_nnz``).  A
 steady state that fails ``lindblad.validate_density_matrix`` on its window
-(outside which it is zero) fails its point.  A point that raises is recorded
-with its error (and the residual, if the error carries one) and left out of
-the CSV files, and the run goes on.  Exit code 0 means full success, 2 that
-some points failed, 1 a configuration error or an output error (an
-``OSError`` creating or writing ``--out``).  The env var ``DLMG_LOG``
-(debug/info/warning/error) selects log verbosity.
+(outside which it is zero) fails its point.  Steady states are solved with
+``check_unique=False``, yet a point whose window system is singular fails
+with ``NonUniqueSteadyStateError``, and a point whose state misses the
+residual tolerance on the whole ladder fails with its residual.  A point
+that raises is recorded with its error (and the residual, if the error
+carries one) and left out of the CSV files, and the run goes on.  Exit code
+0 means full success, 2 that some points failed, 1 a configuration error or
+an output error (an ``OSError`` creating or writing ``--out``).  The env var
+``DLMG_LOG`` (debug/info/warning/error) selects log verbosity.
 """
 
 from __future__ import annotations
@@ -185,6 +190,13 @@ def _number(cfg: dict, key: str, default=None, kind=float):
         raise ConfigError(f"bad value for {key}: {cfg[key]!r}") from None
 
 
+def _count(cfg: dict, key: str, default: int) -> int:
+    count = _number(cfg, key, default, int)
+    if count < 1:
+        raise ConfigError(f"{key} must be at least 1, got {count}")
+    return count
+
+
 def _sweep_values(cli_cfg: dict) -> np.ndarray:
     try:
         start = float(cli_cfg["sweep.start"])
@@ -275,8 +287,11 @@ def _plan_steady(cli_cfg, model_cfg, variable, outputs) -> _Plan:
 def _plan_dynamics(cli_cfg, model_cfg, variable, outputs) -> _Plan:
     from . import lindblad, observables, operators  # noqa: F401
     offset = _number(cli_cfg, "sweep.singular_offset", SINGULAR_OFFSET)
-    times = np.linspace(0.0, _number(cli_cfg, "dynamics.t_end", 10.0),
-                        _number(cli_cfg, "dynamics.t_points", 101, int))
+    t_end = _number(cli_cfg, "dynamics.t_end", 10.0)
+    t_points = _count(cli_cfg, "dynamics.t_points", 101)
+    if t_points >= 2 and not 0.0 < t_end < np.inf:
+        raise ConfigError(f"dynamics.t_end must be positive and finite, got {t_end}")
+    times = np.linspace(0.0, t_end, t_points)
     m0 = _number(cli_cfg, "dynamics.initial_m")
     columns = ["lambda", "h", "t"]
     if "entanglement" in outputs:
@@ -306,7 +321,7 @@ def _plan_spectrum(cli_cfg, model_cfg, variable, outputs) -> _Plan:
               for key in _CAVITY_KEYS if f"spectrum.{key}" in cli_cfg}
     nu = np.linspace(_number(cli_cfg, "spectrum.nu_min", -3.0),
                      _number(cli_cfg, "spectrum.nu_max", 3.0),
-                     _number(cli_cfg, "spectrum.nu_points", 2001, int))
+                     _count(cli_cfg, "spectrum.nu_points", 2001))
     tasks = [((v, h) if variable == "lambda" else (lam, v), cavity, nu) for v in values]
     return _Plan(variable, _spectrum_point, tasks, [(v, 0) for v in values],
                  _per_value_files("spectrum", variable, values, ["nu", "t_p", "diverged"]))
@@ -321,9 +336,8 @@ def _plan_qfunc(cli_cfg, model_cfg, variable, outputs) -> _Plan:
     n_atoms, *rest = _n_atoms_list(model_cfg)
     if rest:
         raise ConfigError("qfunc takes one n_atoms, not a list")
-    thetas = np.linspace(0.0, np.pi, _number(cli_cfg, "qfunc.n_theta", 61, int))
-    phis = np.linspace(0.0, 2.0 * np.pi, _number(cli_cfg, "qfunc.n_phi", 121, int),
-                       endpoint=False)
+    thetas = np.linspace(0.0, np.pi, _count(cli_cfg, "qfunc.n_theta", 61))
+    phis = np.linspace(0.0, 2.0 * np.pi, _count(cli_cfg, "qfunc.n_phi", 121), endpoint=False)
     tasks = [(_point_params(model_cfg, n_atoms, variable, v), thetas, phis) for v in values]
     return _Plan(variable, _qfunc_point, tasks, [(v, n_atoms) for v in values],
                  _per_value_files("qfunc", variable, values, ["theta", "phi", "q"]))

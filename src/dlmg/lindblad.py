@@ -63,14 +63,19 @@ gamma = -1 at rates below about 2e-5, where a solve takes up to 2x as long
 as with COLAMD (README, Known limitations).
 The residual is the max-abs entry of the product of an assembled
 sparse Liouvillian with vec(rho), so the solver holds one form of the
-generator.  Uniqueness is probed on the accepted window by re-solving the
-block with a different replaced row and by factorizing the complement block
-C: nothing leaves the block, so in the ordering (block, complement) the
+generator; one product per window gives both the residual and the edge test.
+Each window takes one solve, and its outcome is one of three: the residual
+meets the tolerance and the window is accepted, an edge can move and the
+window grows, or the solve fails with its residual.  The diagonal rows of the
+block sum to zero, so the system with any one of them replaced by the trace
+row is singular exactly when the block kernel holds a traceless element,
+i.e. when it has more than one dimension; another replaced row could not
+rescue it, and a singular factorization reports a non-unique steady state.
+Uniqueness is probed further on the accepted window by re-solving the block
+with a different replaced row and by factorizing the complement block C:
+nothing leaves the block, so in the ordering (block, complement) the
 Liouvillian is block upper-triangular, and if C is nonsingular the kernel is
-the block kernel padded with zeros.  If the direct solve fails to reach the
-residual tolerance for a reason other than the window edges, the maximally
-mixed window state is relaxed on the block over doubling horizons as a
-fallback.
+the block kernel padded with zeros.
 
 Dynamics: the generator only couples vec coordinates along its sparsity
 pattern, so a state never leaves the coordinates reachable from the support
@@ -102,7 +107,6 @@ is redone from its start on the wider window.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -111,8 +115,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .operators import expectation_support, expectation_values
-
-logger = logging.getLogger(__name__)
 
 # Largest |rho - rho^+| entry that :func:`evolve` accepts in an initial state.
 HERMITIAN_TOL = 1e-12
@@ -322,12 +324,6 @@ def _block_state(vec: np.ndarray, idx: np.ndarray, d: int) -> np.ndarray:
     return _finalize_state(full, d)
 
 
-def _residual(lv: sp.csr_matrix, rho: np.ndarray) -> float:
-    """max |L rho| over the d x d state ``rho``, from the vectorized Liouvillian ``lv``."""
-    res = float(np.max(np.abs(lv @ rho.reshape(-1))))
-    return res if np.isfinite(res) else np.inf
-
-
 def _bandwidth(op: sp.csr_matrix) -> int:
     """Largest |i - j| over the stored entries of ``op``."""
     rows, cols, _ = _entries(op, 0, op.shape[0])
@@ -390,19 +386,19 @@ class _Window:
         pad[self.inner, self.inner] = rho
         return pad
 
-    def residual(self, rho: np.ndarray) -> float:
-        """max |L rho| over the full space, for the window state ``rho`` padded with zeros."""
-        return _residual(self.lv_wide, self._padded(rho))
+    def residual(self, rho: np.ndarray, tol: float) -> tuple:
+        """max |L rho| over the full space for the window state ``rho`` padded with zeros,
+        and whether each edge, lower and upper, can move and has residual rows above ``tol``.
 
-    def edges_over(self, rho: np.ndarray, tol: float) -> tuple:
-        """Whether each edge, lower and upper, can move and has residual rows above ``tol``.
-
-        The truncation changes L only within ``width`` levels of an edge, so
-        residual rows there above ``tol`` ask for a wider window.
+        Both come from one product.  The truncation changes L only within
+        ``width`` levels of an edge, so residual rows there above ``tol`` ask
+        for a wider window.
         """
-        res = np.abs(self.lv_wide @ self._padded(rho).reshape(-1)).reshape(self.wide, self.wide)
-        return tuple(bool(can and (res[rows].max(initial=0.0) > tol))
-                     for can, rows in zip(self.growable, self.edges))
+        res = np.abs(self.lv_wide @ self._padded(rho).reshape(-1))
+        top, rows = float(res.max()), res.reshape(self.wide, self.wide)
+        grow = tuple(bool(can and (rows[edge].max(initial=0.0) > tol))
+                     for can, edge in zip(self.growable, self.edges))
+        return (top if np.isfinite(top) else np.inf), grow
 
 
 @dataclass(frozen=True)
@@ -412,9 +408,8 @@ class SteadySolution:
     ``rho`` is the d x d state, ``window`` the levels (lo, hi) it was solved
     on (zero outside them) and ``residual`` its max-abs full-space residual.
     ``lu_nnz`` is the number of entries SuperLU stores for L and U of the
-    factorization that gave ``rho`` (0 if the relaxation fallback gave it),
-    and ``windows`` the level count of every window tried, the accepted one
-    last.
+    factorization that gave ``rho``, and ``windows`` the level count of every
+    window tried, the accepted one last.
     """
 
     rho: np.ndarray
@@ -434,15 +429,18 @@ def steady_state(spec: LindbladSpec, tol: float = 1e-10, check_unique: bool = Tr
     there exceed ``tol`` moves out by half the window size until the gate
     passes; a window of at least 2d/3 levels is the whole ladder.  In the
     window the solve runs on the block of vec coordinates
-    reachable from the maximally mixed state.  ``check_unique`` probes a
-    second replaced row inside the block and factorizes the complement block
-    of the accepted window, whose singularity would allow a second fixed
-    point outside it.  :func:`steady_solution` also returns the window and
-    the residual.
+    reachable from the maximally mixed state, once per window.
+    ``check_unique`` probes a second replaced row inside the block and
+    factorizes the complement block of the accepted window, whose singularity
+    would allow a second fixed point outside it.  :func:`steady_solution` also
+    returns the window and the residual.
 
     Raises ValueError if no dissipator has a positive rate,
-    :class:`SteadyStateError` if no solution reaches the tolerance and
-    :class:`NonUniqueSteadyStateError` if the kernel appears degenerate.
+    :class:`SteadyStateError` with the residual if a window misses the
+    tolerance with no edge left to grow (the whole ladder always), and
+    :class:`NonUniqueSteadyStateError` if the kernel appears degenerate:
+    always if the block system is singular, and by the probes under
+    ``check_unique``.
     """
     return steady_solution(spec, tol, check_unique).rho
 
@@ -459,34 +457,22 @@ def steady_solution(spec: LindbladSpec, tol: float = 1e-10,
     while True:
         win = _Window(spec, lo, hi, width)
         windows.append(win.m)
-        rho, res, lu_nnz, grow = None, np.inf, 0, (False, False)
-        for row in (0, win.m - 1):
-            try:
-                vec, nnz = _solve_block(win.lv_r, win.trace, row)
-            except RuntimeError:
-                continue
-            candidate = win.state(vec)
-            r = win.residual(candidate)
-            if r < res:
-                rho, res, lu_nnz = candidate, r, nnz
-            if res <= tol:
-                break
-            # A window too small fails at its edges whichever row is replaced.
-            grow = win.edges_over(rho, tol)
-            if any(grow):
-                break
-        if not any(grow):
+        try:
+            vec, lu_nnz = _solve_block(win.lv_r, win.trace, 0)
+        except RuntimeError:
+            # Every replaced diagonal row gives a singular system once one does.
+            raise NonUniqueSteadyStateError(
+                "non-unique steady state: block solve singular") from None
+        rho = win.state(vec)
+        res, grow = win.residual(rho, tol)
+        if res <= tol:
             break
-        lo, hi = _grown(lo, hi, grow, d)
-
-    if res > tol:
-        logger.info("direct steady-state residual %.3e > tol, falling back to relaxation", res)
-        (rho, res), lu_nnz = _steady_by_integration(win, tol), 0
-        if res > tol:
+        if not any(grow):
             raise SteadyStateError(
                 f"steady state did not converge: residual {res:.3e} > tol {tol:.1e}",
                 residual=res,
             )
+        lo, hi = _grown(lo, hi, grow, d)
 
     if check_unique:
         # An exactly singular re-solve means the trace constraint did not pin
@@ -497,7 +483,8 @@ def steady_solution(spec: LindbladSpec, tol: float = 1e-10,
             raise NonUniqueSteadyStateError(
                 "non-unique steady state: probe solve singular", residual=res
             ) from None
-        if win.residual(rho2) <= 10.0 * max(tol, res) and np.max(np.abs(rho2 - rho)) > 100.0 * tol:
+        res2 = win.residual(rho2, tol)[0]
+        if res2 <= 10.0 * max(tol, res) and np.max(np.abs(rho2 - rho)) > 100.0 * tol:
             raise NonUniqueSteadyStateError(
                 "non-unique steady state: two fixed points found", residual=res
             )
@@ -514,27 +501,6 @@ def steady_solution(spec: LindbladSpec, tol: float = 1e-10,
         rho, window_rho = np.zeros((d, d), dtype=np.complex128), rho
         rho[lo:hi, lo:hi] = window_rho
     return SteadySolution(rho, (lo, hi), res, lu_nnz, tuple(windows))
-
-
-def _steady_by_integration(win: _Window, tol: float):
-    """Relax the maximally mixed state of the window until its full-space residual drops below tol.
-
-    The state evolves on the window's reachable block.  Horizons double from
-    10 and stop at t = 1e4.
-    """
-    rho = maximally_mixed(win.m)
-    coords = _RealCoordinates(win.lv_r, win.idx, win.m)
-    taylor = _Taylor(coords.generator)
-    x = coords.to_real(rho.reshape(-1)[win.idx])
-    t, horizon = 0.0, 10.0
-    res = win.residual(rho)
-    while t < 1e4 and res > tol:
-        x = taylor.step(x, horizon)
-        rho = win.state(coords.to_block @ x)
-        t += horizon
-        horizon *= 2.0
-        res = win.residual(rho)
-    return rho, res
 
 
 # theta_m of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011): the

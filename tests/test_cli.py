@@ -151,10 +151,18 @@ def test_exit_code_one_on_unknown_key(tmp_path, capsys):
     ("spectrum", {**TINY_RUNS["spectrum"], "micro.kappa_a": "0.3"}),
     ("steady", {k: v for k, v in FAST_STEADY.items() if not k.startswith("gamma")}),
     ("qfunc", {**TINY_RUNS["qfunc"], "gamma_a": "0", "gamma_b": "0.0"}),
+    ("dynamics", {**TINY_RUNS["dynamics"], "dynamics.t_points": "0"}),
+    ("dynamics", {**TINY_RUNS["dynamics"], "dynamics.t_end": "0"}),
+    ("dynamics", {**TINY_RUNS["dynamics"], "dynamics.t_end": "-1.5"}),
+    ("qfunc", {**TINY_RUNS["qfunc"], "qfunc.n_theta": "0"}),
+    ("qfunc", {**TINY_RUNS["qfunc"], "qfunc.n_phi": "-2"}),
+    ("spectrum", {**TINY_RUNS["spectrum"], "spectrum.nu_points": "0"}),
 ], ids=["isotropic", "conventional", "spectrum-variable", "qfunc-variable",
         "dynamics-key", "spectrum-key", "outputs-name", "spectrum-number", "qfunc-n-list",
         "dynamics-initial-m", "spectrum-gamma-a", "spectrum-gamma-b", "spectrum-n-atoms",
-        "spectrum-micro", "steady-no-dissipation", "qfunc-no-dissipation"])
+        "spectrum-micro", "steady-no-dissipation", "qfunc-no-dissipation",
+        "dynamics-no-times", "dynamics-zero-t-end", "dynamics-negative-t-end",
+        "qfunc-no-theta", "qfunc-negative-phi", "spectrum-no-nu"])
 def test_rejected_config_exits_one_and_writes_nothing(tmp_path, capsys, command, cfg):
     out = tmp_path / "out"
     rc = cli.main([command, "--config", str(write_config(tmp_path, cfg)), "--jobs", "1",
@@ -162,6 +170,16 @@ def test_rejected_config_exits_one_and_writes_nothing(tmp_path, capsys, command,
     assert rc == 1
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_single_point_grids_are_planned():
+    # One output time is t = 0 whatever t_end is; one angle or one frequency is a grid too.
+    cfg = {**TINY_RUNS["dynamics"], "dynamics.t_points": "1", "dynamics.t_end": "0"}
+    assert cli._plan("dynamics", cfg).tasks[0][3].tolist() == [0.0]
+    cfg = {**TINY_RUNS["qfunc"], "qfunc.n_theta": "1", "qfunc.n_phi": "1"}
+    assert [len(grid) for grid in cli._plan("qfunc", cfg).tasks[0][1:]] == [1, 1]
+    cfg = {**TINY_RUNS["spectrum"], "spectrum.nu_points": "1"}
+    assert len(cli._plan("spectrum", cfg).tasks[0][2]) == 1
 
 
 def test_dynamics_without_dissipation_is_planned():
@@ -252,6 +270,35 @@ def test_unphysical_steady_state_fails_its_point(tmp_path, monkeypatch, command)
     for name in manifest["outputs"]:
         lines = (out / name).read_text().splitlines()
         assert len([l for l in lines if not l.startswith("#")]) == 1  # the column line only
+
+
+@pytest.mark.parametrize("failure", ["singular", "missed"])
+def test_failed_steady_solve_fails_its_point(tmp_path, monkeypatch, failure):
+    # The CLI skips the uniqueness probes, yet a singular block solve still fails the point.
+    from dlmg import lindblad
+
+    real = lindblad._solve_block
+
+    def broken(lv_r, trace, row):
+        if failure == "singular":
+            raise RuntimeError("Factor is exactly singular")
+        vec, nnz = real(lv_r, trace, row)
+        vec[trace[1]] += 1e-3
+        return vec, nnz
+
+    monkeypatch.setattr(lindblad, "_solve_block", broken)
+    cfg = write_config(tmp_path, {**FAST_STEADY, "n_atoms": "4", "outputs": "moments"})
+    out = tmp_path / "out"
+    assert cli.main(["steady", "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 2
+    points = json.loads((out / "manifest.json").read_text())["points"]
+    assert len(points) >= 2 and all(p["status"] == "error" for p in points)
+    if failure == "singular":
+        assert all(p["error"].startswith("NonUniqueSteadyStateError") for p in points)
+        assert not any("residual" in p for p in points)
+    else:
+        assert all(p["error"].startswith("SteadyStateError: steady state did not converge")
+                   for p in points)
+        assert all(p["residual"] > 1e-10 for p in points)
 
 
 @pytest.mark.parametrize("n_atoms,max_window", [(4, 5), (60, 61)])

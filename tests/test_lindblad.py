@@ -17,6 +17,7 @@ from dlmg import lindblad
 from dlmg.lindblad import (
     LindbladSpec,
     NonUniqueSteadyStateError,
+    SteadyStateError,
     evolve,
     liouvillian_apply,
     liouvillian_matrix,
@@ -171,12 +172,14 @@ def test_steady_state_requires_dissipator():
         steady_state(spec)
 
 
-def test_steady_state_flags_degenerate_kernel():
-    # Pure dephasing D[Jz] leaves every diagonal state stationary.
+@pytest.mark.parametrize("check_unique", [True, False])
+def test_steady_state_flags_degenerate_kernel(check_unique):
+    # Pure dephasing D[Jz] leaves every diagonal state stationary, so the
+    # replaced-row block system is singular, whether or not the probes run.
     alg = build_algebra(3)
     spec = LindbladSpec(hamiltonian=np.zeros((4, 4)), dissipators=((0.5, alg.jz),))
     with pytest.raises(NonUniqueSteadyStateError):
-        steady_state(spec, tol=1e-10)
+        steady_state(spec, tol=1e-10, check_unique=check_unique)
 
 
 def test_steady_state_large_n_residual():
@@ -227,23 +230,48 @@ def test_steady_state_is_a_density_matrix(n, h, lam, gamma_a, gamma_b):
     assert np.max(np.abs(liouvillian_apply(spec, rho))) <= tol
 
 
-def test_steady_state_integration_fallback_matches_direct_solve(monkeypatch):
-    # The direct solve, the uniqueness probe and the relaxation fallback all
-    # take their residual from the sparse Liouvillian, never from the dense form.
+def test_singular_block_solve_reports_a_non_unique_steady_state(monkeypatch):
+    # The solve and the uniqueness probes take their residual from the sparse
+    # Liouvillian, never from the dense form.
     def dense_form(*args):
         raise AssertionError("steady_state called liouvillian_apply")
 
     monkeypatch.setattr(lindblad, "liouvillian_apply", dense_form)
     spec = gamma0_spec(6, h=1.0, lam=1.3, gamma_a=0.01, gamma_b=0.2)
-    direct = steady_state(spec, tol=1e-10, check_unique=True)
+    steady_state(spec, tol=1e-10, check_unique=True)
 
     def singular(*args):
         raise RuntimeError("forced singular factorization")
 
+    # Every replaced row gives a singular system once one does, so the solve stops there.
     monkeypatch.setattr(lindblad, "_solve_block", singular)
-    rho = steady_state(spec, tol=1e-10, check_unique=False)
-    assert np.max(np.abs(rho - direct)) <= 1e-9
-    assert np.max(np.abs(liouvillian_apply(spec, rho))) <= 1e-10
+    for check_unique in (True, False):
+        with pytest.raises(NonUniqueSteadyStateError, match="block solve singular"):
+            steady_state(spec, tol=1e-10, check_unique=check_unique)
+
+
+def test_steady_solution_fails_with_the_residual_it_missed(monkeypatch):
+    # At d <= 60 the first window is the whole ladder, so a miss has no edge to grow.
+    spec = gamma0_spec(30, h=1.0, lam=1.3, gamma_a=0.01, gamma_b=0.2)
+    solve_block, calls = lindblad._solve_block, []
+
+    def perturbed(lv_r, trace, row):
+        calls.append(row)
+        vec, nnz = solve_block(lv_r, trace, row)
+        vec[trace[1]] += 1e-3
+        return vec, nnz
+
+    win = lindblad._Window(spec, 0, spec.dim, lindblad._edge_width(spec))
+    rho = win.state(perturbed(win.lv_r, win.trace, 0)[0])
+    missed = np.max(np.abs(liouvillian_matrix(spec) @ rho.reshape(-1)))
+    assert missed > 1e-6
+    monkeypatch.setattr(lindblad, "_solve_block", perturbed)
+    calls.clear()
+    with pytest.raises(SteadyStateError) as info:
+        steady_solution(spec, tol=1e-10, check_unique=True)
+    assert not isinstance(info.value, NonUniqueSteadyStateError)
+    assert info.value.residual == pytest.approx(missed, rel=1e-12)
+    assert calls == [0]
 
 
 def _model_spec(model, n, h, lam, gamma_a, gamma_b, alpha, beta):
@@ -458,14 +486,16 @@ def test_window_residual_is_the_full_space_residual(n, lam):
     spec = gamma0_spec(n, h=1.0, lam=lam, gamma_a=0.01, gamma_b=0.2)
     lv = liouvillian_matrix(spec)
     sol = steady_solution(spec)
-    assert sol.residual == pytest.approx(lindblad._residual(lv, sol.rho), rel=1e-6, abs=1e-18)
+    residual = lambda rho: np.max(np.abs(lv @ rho.reshape(-1)))
+    assert sol.residual == pytest.approx(residual(sol.rho), rel=1e-6, abs=1e-18)
     # Exact also where the window is too small and the residual sits at its edge.
     win = lindblad._Window(spec, 0, 40, 2)
     rho = win.state(lindblad._solve_block(win.lv_r, win.trace, 0)[0])
     padded = np.zeros((spec.dim, spec.dim), dtype=complex)
     padded[:40, :40] = rho
-    full = lindblad._residual(lv, padded)
-    assert win.residual(rho) == pytest.approx(full, rel=1e-12)
+    res, grow = win.residual(rho, 1e-10)
+    assert res == pytest.approx(residual(padded), rel=1e-12)
+    assert grow == (False, res > 1e-10)
 
 
 def test_window_grows_down_to_a_state_at_the_bottom():
