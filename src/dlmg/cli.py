@@ -13,7 +13,9 @@ checked against the keys any command reads, so a preset runs under another
 command), an unknown name in ``outputs``, a ``sweep.variable`` other than
 ``lambda`` or ``h``, a ``model`` other than ``gamma0`` (the CLI runs the
 gamma=0 model only), a malformed value, a list of N for ``qfunc``, a
-``dynamics.initial_m`` that is no spin projection m of some N in the sweep,
+``spectrum.values`` or ``qfunc.values`` list with two values that print
+alike (their files would collide), a ``dynamics.initial_m`` that is no spin
+projection m of some N in the sweep,
 a ``dynamics.t_points``, ``spectrum.nu_points``, ``qfunc.n_theta`` or
 ``qfunc.n_phi`` below 1, a ``dynamics.t_end`` that is not positive and finite
 while ``dynamics.t_points`` >= 2, ``gamma_a = gamma_b = 0`` under ``steady``
@@ -43,11 +45,12 @@ starts a helper thread per further core when it loads, and each spins for
 about 0.1 s (about 0.2 s of CPU per process on a 2-core machine), which
 slows the process when the cores are shared.  ``import dlmg.cli`` leaves the
 environment alone.  Every run writes a ``manifest.json`` recording the merged config, tool version, ``jobs``, the
-thread count each BLAS library reports (``blas_threads``), wall time, output
-files, and per-point diagnostics, including each point's wall time
-``wall_s`` measured in the worker; for dynamics, the propagated
-``block_size``, the ``matvecs`` it took (retried steps included) and the
-number of ladder levels of its last window (``window``); for steady and
+thread count each BLAS library reports (``blas_threads``), the python,
+numpy and scipy ``versions``, wall time, output files, and per-point
+diagnostics, including each point's wall time ``wall_s`` measured in the
+worker; for dynamics, the number of ladder levels of its last window
+(``window``), the ``block_size`` of that window's reachable block and the
+``matvecs`` it took (retried steps included); for steady and
 qfunc, the number of ladder levels the steady state was solved on
 (``window``), its full-space ``residual``, the level count of every window
 tried, the accepted one last (``windows``), and the number of entries
@@ -72,6 +75,7 @@ import dataclasses
 import json
 import logging
 import os
+import platform
 import sys
 import time
 from multiprocessing import Pool
@@ -258,10 +262,16 @@ def _per_n_files(coords, kinds):
 
 
 def _per_value_files(kind, variable, values, columns):
-    """One file per sweep value, named by the value and carrying it in its header."""
-    return [(f"{kind}_{variable}_{_fmt(v).replace('-', 'm').replace('.', 'p')}.csv", kind,
-             [f"{variable} = {_fmt(v)}"], columns, [i])
-            for i, v in enumerate(values)]
+    """One file per sweep value, named by the value and carrying it in its header.
+
+    Raises ConfigError if two values print alike, since their files would collide.
+    """
+    names = [f"{kind}_{variable}_{_fmt(v).replace('-', 'm').replace('.', 'p')}.csv"
+             for v in values]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"{kind}.values repeats a value, so two points would share a file")
+    return [(name, kind, [f"{variable} = {_fmt(v)}"], columns, [i])
+            for i, (name, v) in enumerate(zip(names, values))]
 
 
 def _plan_steady(cli_cfg, model_cfg, variable, outputs) -> _Plan:
@@ -692,6 +702,8 @@ def main(argv=None) -> int:
             "version": __version__,
             "jobs": args.jobs,
             "blas_threads": blas_threads,
+            "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                         "scipy": scipy.__version__},
             "config": plan.config,
             "wall_time_s": round(time.perf_counter() - started, 6),
             "outputs": [name for name, *_ in plan.files],

@@ -95,14 +95,18 @@ odd coherences keeps the whole space.
 The pattern reaches every level, but the magnitudes do not: from all-up at
 N = 100 and lambda = 0.12, no |rho_ij| below level 22 exceeds 1e-16 by
 t = 10.  So the real coordinates are propagated on a window of levels
-[lo, hi): those whose two levels both lie in it, with the real generator
-sliced to them and the Taylor shift and 1-norm of that slice, so a narrow
-window also takes fewer substeps.  The first window is the levels rho0
-occupies, widened by 20 on each side.  After each output step, the
-coordinates within w levels of an edge that can move (w as for the steady
-window) must not exceed 2^-53 max|x|, the rounding unit of the state;
-where they do, the edge moves out by the steady solver's rule and the step
-is redone from its start on the wider window.
+[lo, hi): those whose two levels both lie in it, with the exact slice of L
+to them and the Taylor shift and 1-norm of that slice, so a narrow window
+also takes fewer substeps.  Each window assembles the Liouvillian of its
+levels widened by w (w as for the steady window), whose slice to the window
+is the exact slice of L, since w >= bw(A_k) forms every entry of A_k+ A_k
+there in full; the block search runs on it too, so the d^2 Liouvillian is
+built only for a window that is the whole ladder.  The first window is the
+levels rho0 occupies, widened by 20 on each side.  After each output step,
+the coordinates within w levels of an edge that can move must not exceed
+2^-53 max|x|, the rounding unit of the state; where they do, the edge moves
+out by the steady solver's rule and the step is redone from its start on
+the wider window, to which the state carries over by its level coordinates.
 """
 
 from __future__ import annotations
@@ -114,7 +118,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .operators import expectation_support, expectation_values
 
 # Largest |rho - rho^+| entry that :func:`evolve` accepts in an initial state.
 HERMITIAN_TOL = 1e-12
@@ -170,10 +173,10 @@ class LindbladSpec:
 class TrajectoryResult:
     """Output of :func:`evolve`: times, a (T, d, d) state stack, and complex expectation values.
 
-    ``block_size`` is the number of vec coordinates in the block reachable
-    from rho0, ``window`` the levels (lo, hi) of the last window the state
-    was propagated on, and ``matvecs`` the number of sparse products the
-    propagation took, those of steps redone on a wider window included.
+    ``window`` is the levels (lo, hi) of the last window the state was
+    propagated on, ``block_size`` the number of vec coordinates in that
+    window's reachable block, and ``matvecs`` the number of sparse products
+    the propagation took, those of steps redone on a wider window included.
     """
 
     times: np.ndarray
@@ -576,24 +579,38 @@ class _Taylor:
         return f
 
 
-class _RealCoordinates:
-    """The generator on the Hermitian states of a block, in real coordinates.
+class _LevelWindow:
+    """The generator on the Hermitian states of a window of levels, in real coordinates.
 
-    ``lv`` is the generator on the vec coordinates ``idx`` of a d x d state,
-    a block closed under (i, j) -> (j, i).  L(rho+) = L(rho)+, so on Hermitian
-    states L is real-linear in the real coordinates x: Re rho_ij for i <= j,
-    then Im rho_ij for i < j, one per block coordinate.  ``to_block`` maps x
-    back to the block (at most two entries per row), and the real generator
-    is L_R = [Re (L to_block) on the rows i <= j; Im (L to_block) on i < j].
-    ``low`` and ``high`` are the levels min(i, j) and max(i, j) of each real
-    coordinate.
+    The window holds the vec coordinates (i, j) with both levels in [lo, hi).
+    Its exact slice of L is the slice of the Liouvillian of the window widened
+    by ``width`` levels on each side (see the module docstring), and one
+    search there from the full-ladder vec indices ``seed`` gives the
+    reachable coordinates inside the window: the block, whose full-ladder vec
+    indices are ``full``, closed under (i, j) -> (j, i).  L(rho+) = L(rho)+,
+    so on Hermitian states L is real-linear in the real coordinates x:
+    Re rho_ij for i <= j, then Im rho_ij for i < j, one per block coordinate.
+    ``to_block`` maps x back to the block (at most two entries per row), and
+    ``taylor`` steps the real generator L_R = [Re (L to_block) on the rows
+    i <= j; Im (L to_block) on i < j].  ``edges`` selects the x within
+    ``width`` levels of the lower and the upper edge, or is None for an edge
+    at the end of the ladder, which cannot move.
     """
 
-    def __init__(self, lv: sp.csr_matrix, idx: np.ndarray, d: int):
+    def __init__(self, spec: LindbladSpec, lo: int, hi: int, width: int, seed: np.ndarray):
+        d = spec.dim
+        a, b = max(lo - width, 0), min(hi + width, d)
+        m = b - a
+        i, j = np.divmod(seed, d)
+        start, keep = np.zeros((m, m), dtype=bool), np.zeros((m, m), dtype=bool)
+        start[i - a, j - a] = True
+        keep[lo - a:hi - a, lo - a:hi - a] = True
+        idx, lv = _reachable_block(liouvillian_matrix(spec, (a, b)), start.reshape(-1),
+                                   keep.reshape(-1))
         n = len(idx)
-        i, j = np.divmod(idx, d)
+        i, j = np.divmod(idx, m)
         # The upper-triangle representative of each coordinate, and its Im sign.
-        rep = np.where(i <= j, np.arange(n), np.searchsorted(idx, j * d + i))
+        rep = np.where(i <= j, np.arange(n), np.searchsorted(idx, j * m + i))
         sign = np.sign(j - i)
         self.upper, self.strict = np.flatnonzero(i <= j), np.flatnonzero(i < j)
         off = np.flatnonzero(sign)
@@ -603,32 +620,18 @@ class _RealCoordinates:
         vals = np.concatenate((np.ones(n), 1j * sign[off]))
         self.to_block = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
         lt = (lv @ self.to_block).tocsr()
-        self.generator = sp.vstack((lt[self.upper].real, lt[self.strict].imag), format="csr")
-        self.generator.eliminate_zeros()
+        generator = sp.vstack((lt[self.upper].real, lt[self.strict].imag), format="csr")
+        generator.eliminate_zeros()
+        self.taylor = _Taylor(generator)
+        self.full = (i + a) * d + j + a
         of_x = np.concatenate((self.upper, self.strict))  # the block coordinate of each x
-        self.low, self.high = np.minimum(i, j)[of_x], np.maximum(i, j)[of_x]
-        self.d = d
+        low, high = np.minimum(i, j)[of_x] + a, np.maximum(i, j)[of_x] + a
+        self.edges = (np.flatnonzero(low < lo + width) if lo > 0 else None,
+                      np.flatnonzero(high >= hi - width) if hi < d else None)
 
     def to_real(self, vec: np.ndarray) -> np.ndarray:
         """Real coordinates of a Hermitian state given on the block."""
         return np.concatenate((vec[self.upper].real, vec[self.strict].imag))
-
-
-class _LevelWindow:
-    """The coordinates of a :class:`_RealCoordinates` whose two levels both lie in [lo, hi).
-
-    ``sel`` selects them and ``taylor`` steps the real generator sliced to
-    them, with the slice's own shift and 1-norm.  ``edges`` selects, within
-    ``sel``, the coordinates within ``width`` levels of the lower and the upper
-    edge, or is None for an edge at the end of the ladder, which cannot move.
-    """
-
-    def __init__(self, coords: _RealCoordinates, lo: int, hi: int, width: int):
-        self.sel = np.flatnonzero((coords.low >= lo) & (coords.high < hi))
-        self.taylor = _Taylor(coords.generator[self.sel][:, self.sel])
-        low, high = coords.low[self.sel], coords.high[self.sel]
-        self.edges = (np.flatnonzero(low < lo + width) if lo > 0 else None,
-                      np.flatnonzero(high >= hi - width) if hi < coords.d else None)
 
     def edges_over(self, y: np.ndarray) -> tuple:
         """Whether each edge, lower and upper, can move and has an entry of ``y`` > 2^-53 max|y|."""
@@ -637,7 +640,13 @@ class _LevelWindow:
                      for rows in self.edges)
 
 
-def _reachable_block(lv: sp.csr_matrix, vec: np.ndarray):
+def _vec_rows(ops: dict) -> sp.csr_matrix:
+    """One sparse row vec(op^T) per operator, so that Tr(op @ rho) = vec(op^T) . vec(rho)."""
+    d = next(iter(ops.values())).shape[0]
+    return sp.vstack([sp.csr_matrix(op.T).reshape(1, d * d) for op in ops.values()]).tocsr()
+
+
+def _reachable_block(lv: sp.csr_matrix, vec: np.ndarray, keep: np.ndarray | None = None):
     """Vec coordinates ``lv`` can reach from the support of ``vec``, and ``lv`` sliced to them.
 
     A breadth-first search over the nonzero entries of ``lv`` by columns
@@ -645,7 +654,8 @@ def _reachable_block(lv: sp.csr_matrix, vec: np.ndarray):
     no coordinate outside the set is coupled to one inside it, the sliced
     generator propagates the state exactly.  The search also adds the mirror
     (j, i) of every coordinate (i, j), so the block carries Hermitian states
-    even where a stored zero breaks the symmetry of the pattern.
+    even where a stored zero breaks the symmetry of the pattern.  With the
+    boolean mask ``keep``, only the reached coordinates it marks are kept.
     """
     d = math.isqrt(len(vec))
     mirror = np.arange(d * d).reshape(d, d).T.reshape(-1)
@@ -666,7 +676,7 @@ def _reachable_block(lv: sp.csr_matrix, vec: np.ndarray):
         slot[hit] = order
         frontier = hit[slot[hit] == order]
         reach[frontier] = True
-    idx = np.flatnonzero(reach)
+    idx = np.flatnonzero(reach if keep is None else reach & keep)
     return idx, lv[idx][:, idx]
 
 
@@ -679,22 +689,20 @@ def evolve(
 ) -> TrajectoryResult:
     """Propagate rho0 from t = 0 through the increasing output ``times``.
 
-    rho0 must be Hermitian (to ``HERMITIAN_TOL``) and nonzero: the
-    Liouvillian is assembled once and sliced to the block reachable from the
-    support of rho0 (see the module docstring), and its real generator on the
-    Hermitian states of that block is built once.  rho0 enters through its
-    upper triangle.  The state is propagated on a window of ladder levels,
-    from the levels rho0 occupies widened by 20 on each side; a step after
-    which the state reaches an edge that can move is redone on a wider
-    window.  Each step between consecutive output times takes the Al-Mohy &
-    Higham Taylor parameters for its length on the window's generator and
-    works to double precision, so there is no tolerance to choose; each
-    stored state is mapped back to complex coordinates.  ``states`` is a
-    ``(len(times), d, d)`` array.  ``observables`` maps names to operators
-    whose expectation values Tr(op rho(t)) are evaluated on all states in one
-    product; they are complex arrays, since an operator such as J+^2 need not
-    be Hermitian.  ``keep_states=False`` stores, of each state, only the reachable
-    coordinates the observables read, and returns no states.
+    rho0 must be Hermitian (to ``HERMITIAN_TOL``) and nonzero.  The state is
+    propagated on a window of ladder levels, from the levels rho0 occupies
+    widened by 20 on each side; a step after which the state reaches an edge
+    that can move is redone on a wider window.  Each window assembles the
+    Liouvillian of its levels widened by the operators' bandwidth and builds
+    the real generator on the Hermitian states of the block reachable there
+    (see the module docstring).  rho0 enters through its upper triangle.
+    Each step between consecutive output times takes the Al-Mohy & Higham
+    Taylor parameters for its length on the window's generator and works to
+    double precision, so there is no tolerance to choose.  ``observables``
+    maps names to operators whose expectation values Tr(op rho(t)) are read
+    from each output state by one sparse product; they are complex arrays,
+    since an operator such as J+^2 need not be Hermitian.  ``states`` is a
+    ``(len(times), d, d)`` array, or None with ``keep_states=False``.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -711,41 +719,43 @@ def evolve(
     if len(occupied) == 0:
         raise ValueError("initial state must be nonzero")
 
-    idx, lv_r = _reachable_block(liouvillian_matrix(spec), rho0.reshape(-1))
-    coords = _RealCoordinates(lv_r, idx, d)
-    if keep_states:
-        support, dst, back = None, idx, coords.to_block
-    else:
-        # Without kept states only the reachable coordinates the observables read are stored.
-        support = np.intersect1d(idx, expectation_support(observables)) if observables else idx[:0]
-        dst, back = slice(None), coords.to_block[np.searchsorted(idx, support)]
-    stack = np.zeros((len(times), d * d if keep_states else len(support)), dtype=np.complex128)
+    observables = observables or {}
+    rows = _vec_rows(observables) if observables else None
+    values = np.zeros((len(observables), len(times)), dtype=np.complex128)
+    states = np.zeros((len(times), d * d), dtype=np.complex128) if keep_states else None
     half = _FIRST_WINDOW // 2
     lo, hi = _grown(max(int(occupied[0]) - half, 0), min(int(occupied[-1]) + 1 + half, d),
                     (False, False), d)
     width = _edge_width(spec)
-    win, matvecs = _LevelWindow(coords, lo, hi, width), 0
-    x, t_prev = coords.to_real(rho0.reshape(-1)[idx]), 0.0
+    win, matvecs = _LevelWindow(spec, lo, hi, width, np.flatnonzero(rho0)), 0
+    x, t_prev, readout = win.to_real(rho0.reshape(-1)[win.full]), 0.0, None
     for k, t in enumerate(times):
         if t > t_prev:
             while True:
-                y = win.taylor.step(x[win.sel], t - t_prev)
+                y = win.taylor.step(x, t - t_prev)
                 grow = win.edges_over(y)
                 if not any(grow):
                     break
                 # The state reached an edge that can move: redo the step on a wider window.
                 lo, hi = _grown(lo, hi, grow, d)
                 matvecs += win.taylor.matvecs
-                win = _LevelWindow(coords, lo, hi, width)
-            x[win.sel] = y
-            t_prev = t
-        stack[k, dst] = back @ x
+                wider = _LevelWindow(spec, lo, hi, width, win.full)
+                vec = np.zeros(len(wider.full), dtype=np.complex128)
+                vec[np.searchsorted(wider.full, win.full)] = win.to_block @ x
+                x, win, readout = wider.to_real(vec), wider, None
+            x, t_prev = y, t
+        if observables:
+            if readout is None:  # x -> Tr(op rho), once per window
+                readout = rows[:, win.full] @ win.to_block
+            values[:, k] = readout @ x
+        if keep_states:
+            states[k, win.full] = win.to_block @ x
 
     return TrajectoryResult(
         times=times,
-        states=stack.reshape(len(times), d, d) if keep_states else None,
-        expectations=expectation_values(observables, stack, support) if observables else {},
-        block_size=len(idx),
+        states=states.reshape(len(times), d, d) if keep_states else None,
+        expectations=dict(zip(observables, values)),
+        block_size=len(win.full),
         matvecs=matvecs + win.taylor.matvecs,
         window=(lo, hi),
     )

@@ -73,7 +73,7 @@ def trajectory_moments(values: dict, n_spins: int) -> dict:
 
     ``values`` holds the complex expectation values of the operators of
     :func:`_moment_operators`, one array of length T each, as
-    :func:`expectation_values` or ``evolve(observables=...)`` return them.
+    ``evolve(observables=...)`` returns them.
     The moments are their real parts, but ``"jp2"`` (<J+^2>) stays complex;
     ``"c_r"`` holds the rescaled concurrence at each time.
     """

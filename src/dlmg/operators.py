@@ -112,35 +112,3 @@ def expectation(op, rho: np.ndarray) -> complex:
         rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
         return complex(np.dot(op.data, rho[op.indices, rows]))
     return complex(np.sum(op * rho.T))
-
-
-def _vec_rows(ops: dict) -> sp.csr_matrix:
-    """One sparse row vec(op^T) per operator, so that Tr(op @ rho) = vec(op^T) . vec(rho)."""
-    d = next(iter(ops.values())).shape[0]
-    return sp.vstack([sp.csr_matrix(op.T).reshape(1, d * d) for op in ops.values()]).tocsr()
-
-
-def expectation_support(ops: dict) -> np.ndarray:
-    """Sorted row-major vec coordinates of rho that Tr(op @ rho) reads for some op in ``ops``."""
-    return np.unique(_vec_rows(ops).indices)
-
-
-def expectation_values(ops: dict, states: np.ndarray, support=None) -> dict:
-    """Trace(op @ rho) of each named operator on every state of a stack.
-
-    One linear map over the stacked states: row-major vec(rho) dotted with
-    vec(op^T), for all operators at once.  ``states`` is a (T, d, d) stack,
-    or with ``support`` a (T, len(support)) stack holding only the vec
-    coordinates ``support`` of each state (the others being zero).  Returns
-    complex arrays of length T.  Only the vec coordinates some operator
-    touches are read: they are gathered from the stack, and the few operator
-    rows are made dense on them, so BLAS reads the gathered block in place
-    and the stack itself is never copied.
-    """
-    rows = _vec_rows(ops)
-    if support is not None:
-        rows = rows[:, support]
-    cols = np.unique(rows.indices)
-    states = np.asarray(states)
-    values = rows[:, cols].toarray() @ states.reshape(len(states), -1)[:, cols].T
-    return dict(zip(ops, values))

@@ -157,12 +157,15 @@ def test_exit_code_one_on_unknown_key(tmp_path, capsys):
     ("qfunc", {**TINY_RUNS["qfunc"], "qfunc.n_theta": "0"}),
     ("qfunc", {**TINY_RUNS["qfunc"], "qfunc.n_phi": "-2"}),
     ("spectrum", {**TINY_RUNS["spectrum"], "spectrum.nu_points": "0"}),
+    ("spectrum", {**TINY_RUNS["spectrum"], "spectrum.values": "0.3,0.30,0.6"}),
+    ("qfunc", {**TINY_RUNS["qfunc"], "qfunc.values": "0.5,0.50"}),
 ], ids=["isotropic", "conventional", "spectrum-variable", "qfunc-variable",
         "dynamics-key", "spectrum-key", "outputs-name", "spectrum-number", "qfunc-n-list",
         "dynamics-initial-m", "spectrum-gamma-a", "spectrum-gamma-b", "spectrum-n-atoms",
         "spectrum-micro", "steady-no-dissipation", "qfunc-no-dissipation",
         "dynamics-no-times", "dynamics-zero-t-end", "dynamics-negative-t-end",
-        "qfunc-no-theta", "qfunc-negative-phi", "spectrum-no-nu"])
+        "qfunc-no-theta", "qfunc-negative-phi", "spectrum-no-nu", "spectrum-repeated-value",
+        "qfunc-repeated-value"])
 def test_rejected_config_exits_one_and_writes_nothing(tmp_path, capsys, command, cfg):
     out = tmp_path / "out"
     rc = cli.main([command, "--config", str(write_config(tmp_path, cfg)), "--jobs", "1",
@@ -465,14 +468,31 @@ def test_engine_points_run_in_a_spawned_pool(tmp_path, monkeypatch, command):
 
 
 def test_dynamics_manifest_records_block_size_and_matvecs(tmp_path):
-    # From all-up at N=4 the propagated block is the even-parity half of rho:
-    # 3^2 + 2^2 = 13 of the 25 coordinates.
-    cfg = write_config(tmp_path, {**TINY_RUNS["dynamics"], "n_atoms": "4"})
-    out = tmp_path / "dyn"
-    assert cli.main(["dynamics", "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 0
-    points = json.loads((out / "manifest.json").read_text())["points"]
-    assert len(points) == 3
-    assert all(p["block_size"] == 13 and p["matvecs"] > 0 and p["window"] == 5 for p in points)
+    # From all-up the propagated block is the even-parity half of the last
+    # window: at N=4 the whole ladder, 3^2 + 2^2 = 13 of the 25 coordinates;
+    # at N=80 and weak coupling the top 32 levels, 2 * 16^2 = 512.
+    for n, extra, block, window in (("4", {}, 13, 5),
+                                    ("80", {"sweep.start": "0.2", "sweep.stop": "0.25"}, 512, 32)):
+        cfg = write_config(tmp_path, {**TINY_RUNS["dynamics"], "n_atoms": n, **extra})
+        out = tmp_path / f"dyn{n}"
+        assert cli.main(["dynamics", "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 0
+        points = json.loads((out / "manifest.json").read_text())["points"]
+        assert len(points) == 3
+        assert all(p["block_size"] == block and p["matvecs"] > 0 and p["window"] == window
+                   for p in points)
+
+
+def test_manifest_records_library_versions(tmp_path):
+    import platform
+
+    import scipy
+
+    out = tmp_path / "out"
+    assert cli.main(["steady", "--config", str(write_config(tmp_path, FAST_STEADY)),
+                     "--jobs", "1", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["versions"] == {"python": platform.python_version(),
+                                    "numpy": np.__version__, "scipy": scipy.__version__}
 
 
 def _report_blas_threads(task):

@@ -29,7 +29,7 @@ from dlmg.lindblad import (
 from dlmg.models import LMGParams, build_conventional, build_gamma0, build_isotropic
 from dlmg.observables import (_coherent_state, _moment_operators, entanglement_curve,
                               trajectory_moments)
-from dlmg.operators import all_up_state, build_algebra, dicke_state, expectation, expectation_values
+from dlmg.operators import all_up_state, build_algebra, dicke_state, expectation
 
 
 def elementwise_superoperator(h, dissipators):
@@ -694,9 +694,7 @@ def test_evolve_single_large_step_matches_dense_expm():
     n, dt = 20, 20.0
     spec = gamma0_spec(n, h=1.0, lam=1.4, gamma_a=0.05, gamma_b=0.2)
     rho0 = all_up_state(n)
-    idx, lv_r = lindblad._reachable_block(liouvillian_matrix(spec), rho0.reshape(-1))
-    generator = lindblad._RealCoordinates(lv_r, idx, n + 1).generator
-    assert dt * lindblad._Taylor(generator).norm > 10 * 63.4
+    assert dt * whole_ladder_window(spec, rho0).taylor.norm > 10 * 63.4
     traj = evolve(spec, rho0, [dt])
     assert np.max(np.abs(traj.states - full_space_expm_states(spec, rho0, [dt]))) <= 1e-12
 
@@ -732,11 +730,12 @@ def test_evolve_complex_generator_entries_match_dense_expm():
 )
 def test_evolve_keeps_trace_hermiticity_and_cr_bound(n, h, lam, gamma_a, gamma_b, t_end):
     spec = gamma0_spec(n, h, lam, gamma_a, gamma_b)
-    states = evolve(spec, all_up_state(n), np.linspace(0.0, t_end, 9)).states
+    traj = evolve(spec, all_up_state(n), np.linspace(0.0, t_end, 9),
+                  observables=_moment_operators(build_algebra(n)))
+    states = traj.states
     assert np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)) <= 1e-12
     assert np.max(np.abs(states - states.conj().transpose(0, 2, 1))) <= 1e-12
-    values = expectation_values(_moment_operators(build_algebra(n)), states)
-    assert np.all(trajectory_moments(values, n)["c_r"] <= 1.0)
+    assert np.all(trajectory_moments(traj.expectations, n)["c_r"] <= 1.0)
 
 
 def test_evolve_isotropic_from_dicke_state_stays_diagonal():
@@ -780,18 +779,21 @@ def test_evolve_on_a_window_matches_expm_multiply(n, lam, k, times, window):
     assert np.max(np.abs(traj.states.reshape(len(times), -1) - oracle)) <= 1e-12
 
 
+def whole_ladder_window(spec, rho0):
+    """The real generator of the block reachable from rho0 on the whole ladder."""
+    return lindblad._LevelWindow(spec, 0, spec.dim, lindblad._edge_width(spec), np.flatnonzero(rho0))
+
+
 def full_ladder_states(spec, rho0, times):
     """Oracle: the Taylor stepper on the real generator of the whole reachable block, no window."""
     d = spec.dim
-    idx, lv_r = lindblad._reachable_block(liouvillian_matrix(spec), rho0.reshape(-1))
-    coords = lindblad._RealCoordinates(lv_r, idx, d)
-    taylor = lindblad._Taylor(coords.generator)
-    x, t_prev, states = coords.to_real(rho0.reshape(-1)[idx]), 0.0, []
+    win = whole_ladder_window(spec, rho0)
+    x, t_prev, states = win.to_real(rho0.reshape(-1)[win.full]), 0.0, []
     for t in times:
         if t > t_prev:
-            x, t_prev = taylor.step(x, t - t_prev), t
+            x, t_prev = win.taylor.step(x, t - t_prev), t
         vec = np.zeros(d * d, dtype=complex)
-        vec[idx] = coords.to_block @ x
+        vec[win.full] = win.to_block @ x
         states.append(vec.reshape(d, d))
     return np.array(states)
 
@@ -817,15 +819,25 @@ def test_evolve_on_a_window_matches_the_whole_ladder(model, n, start, h, lam, ga
     assert np.max(np.abs(traj.states - full_ladder_states(spec, rho0, times))) <= 1e-12
 
 
-def test_evolve_assembles_the_liouvillian_once(monkeypatch):
-    # The window grows from 21 levels to the whole ladder by slicing one generator.
+@pytest.mark.parametrize("lam,window", [(0.2, (0, 32)), (2.0, (0, 81))],
+                         ids=["windowed", "whole-ladder"])
+def test_evolve_assembles_only_each_widened_window(monkeypatch, lam, window):
+    # From all-up at N=80 the window starts on the top 21 levels and grows at
+    # its upper edge: to 32 levels at lambda=0.2, to the whole ladder at 2.
+    # Each window tried assembles its levels widened by w levels, once.
     calls = []
     assemble = lindblad.liouvillian_matrix
     monkeypatch.setattr(lindblad, "liouvillian_matrix",
-                        lambda spec: calls.append(spec) or assemble(spec))
-    spec = gamma0_spec(80, h=1.0, lam=2.0, gamma_a=0.01, gamma_b=0.2)
+                        lambda spec, window=None: calls.append(window) or assemble(spec, window))
+    spec = gamma0_spec(80, h=1.0, lam=lam, gamma_a=0.01, gamma_b=0.2)
+    width = lindblad._edge_width(spec)
     traj = evolve(spec, all_up_state(80), np.linspace(0.0, 10.0, 11))
-    assert traj.window == (0, 81) and len(calls) == 1
+    assert traj.window == window
+    tried = [(0, 21)]
+    while tried[-1] != window:
+        tried.append(lindblad._grown(*tried[-1], (False, True), 81))
+    assert calls == [(lo, min(hi + width, 81)) for lo, hi in tried]
+    assert all(hi - lo <= window[1] - window[0] + 2 * width for lo, hi in calls)
 
 
 def reference_taylor_step(taylor, x, dt):
@@ -854,10 +866,9 @@ def test_taylor_step_matches_the_exact_stop_test_bit_for_bit():
     n = 30
     spec = gamma0_spec(n, h=1.0, lam=1.4, gamma_a=0.05, gamma_b=0.2)
     rho0 = all_up_state(n)
-    idx, lv_r = lindblad._reachable_block(liouvillian_matrix(spec), rho0.reshape(-1))
-    coords = lindblad._RealCoordinates(lv_r, idx, n + 1)
-    taylor = lindblad._Taylor(coords.generator)
-    x = coords.to_real(rho0.reshape(-1)[idx])
+    win = whole_ladder_window(spec, rho0)
+    taylor = win.taylor
+    x = win.to_real(rho0.reshape(-1)[win.full])
     for dt in (1e-3, 0.1, 0.1, 2.5, 40.0):
         expected, matvecs = reference_taylor_step(taylor, x, dt)
         before = taylor.matvecs

@@ -1,19 +1,15 @@
 """Dicke-basis algebra: ladder structure, su(2) closure, expectation values."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from dlmg.lindblad import LindbladSpec
-from dlmg.observables import _moment_operators
 from dlmg.operators import (
     all_up_state,
     build_algebra,
     dicke_state,
     expectation,
-    expectation_values,
 )
 
 
@@ -125,35 +121,3 @@ def test_hermitian_flag():
     LindbladSpec(hamiltonian=np.array([[1.0, 1e-13], [0.0, 2.0]]))
     with pytest.raises(ValueError, match="Hermitian"):
         LindbladSpec(hamiltonian=alg.jplus)
-
-
-@pytest.mark.parametrize("n", [6, 100])
-def test_expectation_values_match_per_state_expectation(n):
-    alg = build_algebra(n)
-    rng = np.random.default_rng(3)
-    states = rng.normal(size=(4, n + 1, n + 1)) + 1j * rng.normal(size=(4, n + 1, n + 1))
-    ops = {"jx": alg.jx, "jp2": alg.jplus @ alg.jplus, "raw": alg.jz.toarray()}
-    values = expectation_values(ops, states)
-    assert list(values) == ["jx", "jp2", "raw"]
-    for name, op in ops.items():
-        expected = [expectation(op, rho) for rho in states]
-        assert np.allclose(values[name], expected, rtol=1e-13, atol=1e-10)
-
-
-def test_expectation_values_read_the_stack_in_place():
-    # A 101-state N=100 stack is 16.5 MB; the product must not copy it.
-    n = 100
-    alg = build_algebra(n)
-    rng = np.random.default_rng(4)
-    a = rng.normal(size=(101, n + 1, n + 1)) + 1j * rng.normal(size=(101, n + 1, n + 1))
-    states = a @ a.conj().transpose(0, 2, 1)
-    states /= np.trace(states, axis1=1, axis2=2).real[:, None, None]
-    ops = _moment_operators(alg)
-    tracemalloc.start()
-    values = expectation_values(ops, states)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert peak <= 0.25 * states.nbytes
-    for name, op in ops.items():
-        expected = np.array([expectation(op, rho) for rho in states])
-        assert np.max(np.abs(values[name] - expected) / np.maximum(1.0, np.abs(expected))) <= 1e-13
