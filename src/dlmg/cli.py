@@ -49,11 +49,12 @@ thread count each BLAS library reports (``blas_threads``), the python,
 numpy and scipy ``versions``, wall time, output files, and per-point
 diagnostics, including each point's wall time ``wall_s`` measured in the
 worker; for dynamics, the number of ladder levels of its last window
-(``window``), the ``block_size`` of that window's reachable block and the
-``matvecs`` it took (retried steps included); for steady and
-qfunc, the number of ladder levels the steady state was solved on
-(``window``), its full-space ``residual``, the level count of every window
-tried, the accepted one last (``windows``), and the number of entries
+(``window``), the level count of every window it was propagated on, the
+last one last (``windows``), the ``block_size`` of the last window's
+reachable block and the ``matvecs`` it took (retried steps included); for
+steady and qfunc, the number of ladder levels the steady state was solved
+on (``window``), its full-space ``residual``, the level count of every
+window tried, the accepted one last (``windows``), and the number of entries
 SuperLU stored for L and U of the accepted factorization (``lu_nnz``).  A
 steady state that fails ``lindblad.validate_density_matrix`` on its window
 (outside which it is zero) fails its point.  Steady states are solved with
@@ -518,7 +519,8 @@ def _dynamics_point(task):
         traj = evolve(build_gamma0(params, algebra), rho0, times,
                       observables=_moment_operators(algebra), keep_states=False)
         lo, hi = traj.window
-        record = {"block_size": traj.block_size, "matvecs": traj.matvecs, "window": hi - lo}
+        record = {"block_size": traj.block_size, "matvecs": traj.matvecs, "window": hi - lo,
+                  "windows": list(traj.windows)}
         moments = trajectory_moments(traj.expectations, params.n_atoms)
         j2 = (params.n_atoms / 2.0) ** 2
         table["c_r"] = moments["c_r"]

@@ -33,9 +33,10 @@ exact from the widened window; neither the d^2 Liouvillian nor its block
 search is built.  The truncation changes L only within w levels of an edge,
 so an edge whose nearby residual rows exceed the tolerance moves out by
 half the window size (1.5x growth), until the full-space residual meets the
-tolerance.  A window whose next growth would cover the ladder (3 M >= 2 d
-for M levels) is widened to the whole ladder at once, which is the full
-solve; so d <= 60 is always solved whole.
+tolerance.  Each failed window costs a full LU, so a window whose next
+growth would cover the ladder (3 M >= 2 d for M levels) is widened to the
+whole ladder at once, which is the full solve; so d <= 60 is always solved
+whole.
 Within the window, the maximally mixed state relaxes to the steady state
 without leaving the block of vec coordinates reachable from its support
 (see Dynamics below), so the solve works on that block only: the even
@@ -105,8 +106,11 @@ built only for a window that is the whole ladder.  The first window is the
 levels rho0 occupies, widened by 20 on each side.  After each output step,
 the coordinates within w levels of an edge that can move must not exceed
 2^-53 max|x|, the rounding unit of the state; where they do, the edge moves
-out by the steady solver's rule and the step is redone from its start on
-the wider window, to which the state carries over by its level coordinates.
+out by half the window size (1.5x growth), clipped to the ladder, and the
+step is redone from its start on the wider window, to which the state
+carries over by its level coordinates.  There is no jump to the whole
+ladder: a failed window costs one redone step, while a window wider than
+the state slows every later product.
 """
 
 from __future__ import annotations
@@ -177,6 +181,8 @@ class TrajectoryResult:
     propagated on, ``block_size`` the number of vec coordinates in that
     window's reachable block, and ``matvecs`` the number of sparse products
     the propagation took, those of steps redone on a wider window included.
+    ``windows`` is the level count of every window the state was propagated
+    on, the last one last.
     """
 
     times: np.ndarray
@@ -185,6 +191,7 @@ class TrajectoryResult:
     block_size: int = 0
     matvecs: int = 0
     window: tuple = (0, 0)
+    windows: tuple = ()
 
 
 def liouvillian_apply(spec: LindbladSpec, rho: np.ndarray) -> np.ndarray:
@@ -341,17 +348,16 @@ def _edge_width(spec: LindbladSpec) -> int:
 def _grown(lo: int, hi: int, grow: tuple, d: int) -> tuple:
     """The window of levels after [lo, hi) when the edges flagged in ``grow`` (lower, upper) fail.
 
-    Each failing edge moves out by half the window size (1.5x growth), and a
-    window of at least 2d/3 levels is the whole ladder, since its next growth
-    would cover the ladder anyway.
+    Each failing edge moves out by half the window size (1.5x growth),
+    clipped to the ladder [0, d).
     """
     step = (hi - lo + 1) // 2
-    lo, hi = (max(lo - step, 0) if grow[0] else lo), (min(hi + step, d) if grow[1] else hi)
-    return (0, d) if 3 * (hi - lo) >= 2 * d else (lo, hi)
+    return (max(lo - step, 0) if grow[0] else lo), (min(hi + step, d) if grow[1] else hi)
 
 
 # Levels of the first window :func:`steady_solution` tries, from the top of the
-# ladder; :func:`evolve` widens the support of rho0 by half of it on each side.
+# ladder (the whole ladder for d <= 60, by its whole-ladder rule); :func:`evolve`
+# widens the support of rho0 by half of it on each side.
 _FIRST_WINDOW = 40
 
 
@@ -455,9 +461,12 @@ def steady_solution(spec: LindbladSpec, tol: float = 1e-10,
         raise ValueError("steady_state requires a dissipator with a positive rate")
     d = spec.dim
     width = _edge_width(spec)
-    lo, hi = _grown(0, min(d, _FIRST_WINDOW), (False, False), d)
+    lo, hi = 0, min(d, _FIRST_WINDOW)
     windows = []
     while True:
+        if 3 * (hi - lo) >= 2 * d:
+            # The next growth would cover the ladder anyway, and each failed window costs a full LU.
+            lo, hi = 0, d
         win = _Window(spec, lo, hi, width)
         windows.append(win.m)
         try:
@@ -692,7 +701,15 @@ def evolve(
     rho0 must be Hermitian (to ``HERMITIAN_TOL``) and nonzero.  The state is
     propagated on a window of ladder levels, from the levels rho0 occupies
     widened by 20 on each side; a step after which the state reaches an edge
-    that can move is redone on a wider window.  Each window assembles the
+    that can move is redone on a window grown 1.5x at that edge, clipped to
+    the ladder.  Unlike :func:`steady_solution`, it does not widen a window
+    of at least 2d/3 levels to the whole ladder: a failed window costs the
+    steady solver a full LU, but costs ``evolve`` only one redone step, so
+    from all-up at N = 100 near lambda_c the state stays on 72 of the 101
+    levels.  The edges are tested at the output times only, so the window
+    depends on the output grid: at N = 80, lambda = 0.3, 5 outputs on
+    [0, 10] stay on 32 levels and 21 outputs grow to 48; both agree with the
+    whole-ladder propagation to 1.5e-14.  Each window assembles the
     Liouvillian of its levels widened by the operators' bandwidth and builds
     the real generator on the Hermitian states of the block reachable there
     (see the module docstring).  rho0 enters through its upper triangle.
@@ -724,10 +741,10 @@ def evolve(
     values = np.zeros((len(observables), len(times)), dtype=np.complex128)
     states = np.zeros((len(times), d * d), dtype=np.complex128) if keep_states else None
     half = _FIRST_WINDOW // 2
-    lo, hi = _grown(max(int(occupied[0]) - half, 0), min(int(occupied[-1]) + 1 + half, d),
-                    (False, False), d)
+    lo, hi = max(int(occupied[0]) - half, 0), min(int(occupied[-1]) + 1 + half, d)
     width = _edge_width(spec)
     win, matvecs = _LevelWindow(spec, lo, hi, width, np.flatnonzero(rho0)), 0
+    windows = [hi - lo]
     x, t_prev, readout = win.to_real(rho0.reshape(-1)[win.full]), 0.0, None
     for k, t in enumerate(times):
         if t > t_prev:
@@ -743,6 +760,7 @@ def evolve(
                 vec = np.zeros(len(wider.full), dtype=np.complex128)
                 vec[np.searchsorted(wider.full, win.full)] = win.to_block @ x
                 x, win, readout = wider.to_real(vec), wider, None
+                windows.append(hi - lo)
             x, t_prev = y, t
         if observables:
             if readout is None:  # x -> Tr(op rho), once per window
@@ -758,6 +776,7 @@ def evolve(
         block_size=len(win.full),
         matvecs=matvecs + win.taylor.matvecs,
         window=(lo, hi),
+        windows=tuple(windows),
     )
 
 

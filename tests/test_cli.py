@@ -470,16 +470,18 @@ def test_engine_points_run_in_a_spawned_pool(tmp_path, monkeypatch, command):
 def test_dynamics_manifest_records_block_size_and_matvecs(tmp_path):
     # From all-up the propagated block is the even-parity half of the last
     # window: at N=4 the whole ladder, 3^2 + 2^2 = 13 of the 25 coordinates;
-    # at N=80 and weak coupling the top 32 levels, 2 * 16^2 = 512.
-    for n, extra, block, window in (("4", {}, 13, 5),
-                                    ("80", {"sweep.start": "0.2", "sweep.stop": "0.25"}, 512, 32)):
+    # at N=80 and weak coupling the top 32 levels, 2 * 16^2 = 512, reached
+    # from the first window of the top 21 levels.
+    for n, extra, block, windows in (("4", {}, 13, [5]),
+                                     ("80", {"sweep.start": "0.2", "sweep.stop": "0.25"}, 512,
+                                      [21, 32])):
         cfg = write_config(tmp_path, {**TINY_RUNS["dynamics"], "n_atoms": n, **extra})
         out = tmp_path / f"dyn{n}"
         assert cli.main(["dynamics", "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 0
         points = json.loads((out / "manifest.json").read_text())["points"]
         assert len(points) == 3
-        assert all(p["block_size"] == block and p["matvecs"] > 0 and p["window"] == window
-                   for p in points)
+        assert all(p["block_size"] == block and p["matvecs"] > 0 and p["window"] == windows[-1]
+                   and p["windows"] == windows for p in points)
 
 
 def test_manifest_records_library_versions(tmp_path):

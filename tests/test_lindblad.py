@@ -379,6 +379,15 @@ def test_steady_solution_records_its_windows_and_fill():
     assert len(nnz) == 3 and sol.lu_nnz == nnz[-1] > 101**2 // 2
 
 
+def test_steady_window_below_two_thirds_of_the_ladder_stays_a_window():
+    # The N=150 shape of the steady-sweep benchmark: 90 < 2 * 151 / 3 levels,
+    # so the third window is not widened to the whole ladder, and it passes.
+    spec = gamma0_spec(150, h=1.0, lam=1.49, gamma_a=0.01, gamma_b=0.2)
+    sol = steady_solution(spec, check_unique=False)
+    assert sol.window == (0, 90) and sol.windows == (40, 60, 90)
+    assert sol.residual <= 1e-10
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(
     model=st.sampled_from(["gamma0", "isotropic", "conventional"]),
@@ -838,6 +847,33 @@ def test_evolve_assembles_only_each_widened_window(monkeypatch, lam, window):
         tried.append(lindblad._grown(*tried[-1], (False, True), 81))
     assert calls == [(lo, min(hi + width, 81)) for lo, hi in tried]
     assert all(hi - lo <= window[1] - window[0] + 2 * width for lo, hi in calls)
+
+
+def test_evolve_grows_its_window_without_the_whole_ladder_jump():
+    # Near lambda_c the state from all-up needs 72 of the 101 levels at N=100.
+    # evolve grows 1.5x per failing edge and keeps 72 levels; the steady
+    # solver's rule would widen a window of >= 2d/3 levels to all 101.
+    spec = gamma0_spec(100, h=1.0, lam=1.05, gamma_a=0.01, gamma_b=0.2)
+    rho0, times = all_up_state(100), np.linspace(0.0, 10.0, 101)
+    traj = evolve(spec, rho0, times)
+    assert traj.window == (0, 72) and traj.windows == (21, 32, 48, 72)
+    assert traj.block_size == 2 * 36**2
+    assert np.max(np.abs(traj.states - full_ladder_states(spec, rho0, times))) <= 1e-12
+
+
+@pytest.mark.parametrize("n,lam,points,window", [
+    (80, 0.3, 5, (0, 32)),  # the early excursion to the edge has decayed by t=2.5
+    (80, 0.3, 21, (0, 48)),  # the first output, t=0.5, catches it
+    (100, 1.05, 2, (0, 72)),  # one step of length 10
+])
+def test_evolve_on_a_coarse_output_grid_matches_the_whole_ladder(n, lam, points, window):
+    # The window edges are tested at output times only, so the window depends
+    # on the output grid; the states stay at rounding level on either grid.
+    spec = gamma0_spec(n, h=1.0, lam=lam, gamma_a=0.01, gamma_b=0.2)
+    rho0, times = all_up_state(n), np.linspace(0.0, 10.0, points)
+    traj = evolve(spec, rho0, times)
+    assert traj.window == window
+    assert np.max(np.abs(traj.states - full_ladder_states(spec, rho0, times))) <= 1e-12
 
 
 def reference_taylor_step(taylor, x, dt):
