@@ -12,13 +12,13 @@ rejected there, with exit code 1 and ``config error``, for an unknown key
 checked against the keys any command reads, so a preset runs under another
 command), an unknown name in ``outputs``, a ``sweep.variable`` other than
 ``lambda`` or ``h``, a ``model`` other than ``gamma0`` (the CLI runs the
-gamma=0 model only), a malformed value, a list of N for ``qfunc``, a
-``spectrum.values`` or ``qfunc.values`` list with two values that print
-alike (their files would collide), a ``dynamics.initial_m`` that is no spin
-projection m of some N in the sweep,
+gamma=0 model only), a malformed value or a number that is not finite, a
+list of N for ``qfunc``, a ``spectrum.values`` or ``qfunc.values`` list
+with two values that print alike (their files would collide), a
+``dynamics.initial_m`` that is no spin projection m of some N in the sweep,
 a ``dynamics.t_points``, ``spectrum.nu_points``, ``qfunc.n_theta`` or
-``qfunc.n_phi`` below 1, a ``dynamics.t_end`` that is not positive and finite
-while ``dynamics.t_points`` >= 2, ``gamma_a = gamma_b = 0`` under ``steady``
+``qfunc.n_phi`` below 1, a ``dynamics.t_end`` that is not positive while
+``dynamics.t_points`` >= 2, ``gamma_a = gamma_b = 0`` under ``steady``
 or ``qfunc`` (no dissipation, so no unique steady state; ``dynamics`` then
 runs the unitary evolution), or, under ``spectrum``, a model key other than
 ``lambda``, ``h`` and ``model`` (the spectrum derives its own parameters,
@@ -48,16 +48,16 @@ environment alone.  Every run writes a ``manifest.json`` recording the merged co
 thread count each BLAS library reports (``blas_threads``), the python,
 numpy and scipy ``versions``, wall time, output files, and per-point
 diagnostics, including each point's wall time ``wall_s`` measured in the
-worker; for dynamics, the number of ladder levels of its last window
-(``window``), the level count of every window it was propagated on, the
-last one last (``windows``), the ``block_size`` of the last window's
-reachable block and the ``matvecs`` it took (retried steps included); for
-steady and qfunc, the number of ladder levels the steady state was solved
-on (``window``), its full-space ``residual``, the level count of every
-window tried, the accepted one last (``windows``), and the number of entries
-SuperLU stored for L and U of the accepted factorization (``lu_nnz``).  A
-steady state that fails ``lindblad.validate_density_matrix`` on its window
-(outside which it is zero) fails its point.  Steady states are solved with
+worker; for dynamics, the ladder levels ``[lo, hi]`` of its last window
+(``window``, hi excluded), the level count of every window it was
+propagated on, the last one last (``windows``), the ``block_size`` of the
+last window's reachable block and the ``matvecs`` it took (retried steps
+included); for steady and qfunc, the ladder levels ``[lo, hi]`` the steady
+state was solved on (``window``), its full-space ``residual``, the level
+count of every window tried, the accepted one last (``windows``), and the
+number of entries SuperLU stored for L and U of the accepted factorization
+(``lu_nnz``).  A steady state that fails ``lindblad.validate_density_matrix``
+on its window (outside which it is zero) fails its point.  Steady states are solved with
 ``check_unique=False``, yet a point whose window system is singular fails
 with ``NonUniqueSteadyStateError``, and a point whose state misses the
 residual tolerance on the whole ladder fails with its residual.  A point
@@ -186,13 +186,19 @@ def _split_config(cfg: dict):
     return cli_cfg, model_cfg
 
 
-def _number(cfg: dict, key: str, default=None, kind=float):
-    if key not in cfg:
-        return default
+def _parse(key: str, text: str, kind=float):
+    """``kind(text)``, a value of ``key``; raises ConfigError unless it parses and is finite."""
     try:
-        return kind(cfg[key])
+        value = kind(text)
     except ValueError:
-        raise ConfigError(f"bad value for {key}: {cfg[key]!r}") from None
+        value = np.nan
+    if not np.isfinite(value):
+        raise ConfigError(f"bad value for {key}: {text!r}")
+    return value
+
+
+def _number(cfg: dict, key: str, default=None, kind=float):
+    return default if key not in cfg else _parse(key, cfg[key], kind)
 
 
 def _count(cfg: dict, key: str, default: int) -> int:
@@ -203,14 +209,11 @@ def _count(cfg: dict, key: str, default: int) -> int:
 
 
 def _sweep_values(cli_cfg: dict) -> np.ndarray:
-    try:
-        start = float(cli_cfg["sweep.start"])
-        stop = float(cli_cfg["sweep.stop"])
-        points = int(cli_cfg["sweep.points"])
-    except KeyError as exc:
-        raise ConfigError(f"missing sweep key: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep value: {exc}") from None
+    missing = [key for key in ("sweep.start", "sweep.stop", "sweep.points") if key not in cli_cfg]
+    if missing:
+        raise ConfigError(f"missing sweep key: {missing[0]!r}")
+    start, stop = _number(cli_cfg, "sweep.start"), _number(cli_cfg, "sweep.stop")
+    points = _number(cli_cfg, "sweep.points", kind=int)
     if points < 2 or not start < stop:
         raise ConfigError("sweep requires start < stop and points >= 2")
     return np.linspace(start, stop, points)
@@ -219,10 +222,7 @@ def _sweep_values(cli_cfg: dict) -> np.ndarray:
 def _value_list(cli_cfg: dict, key: str) -> list:
     if key not in cli_cfg:
         raise ConfigError(f"{key.split('.')[0]} requires {key} (comma-separated)")
-    try:
-        values = [float(tok) for tok in cli_cfg[key].split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad value in {key}: {exc}") from None
+    values = [_parse(key, tok) for tok in cli_cfg[key].split(",") if tok.strip()]
     if not values:
         raise ConfigError(f"{key} lists no values")
     return values
@@ -230,10 +230,7 @@ def _value_list(cli_cfg: dict, key: str) -> list:
 
 def _n_atoms_list(model_cfg: dict) -> list:
     raw = model_cfg.get("n_atoms", model_cfg.get("micro.n_atoms", ""))
-    try:
-        values = [int(tok) for tok in str(raw).split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad n_atoms: {exc}") from None
+    values = [_parse("n_atoms", tok, int) for tok in str(raw).split(",") if tok.strip()]
     if not values:
         raise ConfigError("n_atoms must be given")
     return values
@@ -300,8 +297,8 @@ def _plan_dynamics(cli_cfg, model_cfg, variable, outputs) -> _Plan:
     offset = _number(cli_cfg, "sweep.singular_offset", SINGULAR_OFFSET)
     t_end = _number(cli_cfg, "dynamics.t_end", 10.0)
     t_points = _count(cli_cfg, "dynamics.t_points", 101)
-    if t_points >= 2 and not 0.0 < t_end < np.inf:
-        raise ConfigError(f"dynamics.t_end must be positive and finite, got {t_end}")
+    if t_points >= 2 and t_end <= 0.0:
+        raise ConfigError(f"dynamics.t_end must be positive, got {t_end}")
     times = np.linspace(0.0, t_end, t_points)
     m0 = _number(cli_cfg, "dynamics.initial_m")
     columns = ["lambda", "h", "t"]
@@ -449,8 +446,7 @@ def _steady_rho(params: LMGParams, algebra):
         validate_density_matrix(sol.rho[lo:hi, lo:hi])
     except ValueError as exc:
         raise SteadyStateError(f"unphysical steady state: {exc}", residual=sol.residual) from None
-    return sol.rho, {"window": hi - lo, "residual": sol.residual, "lu_nnz": sol.lu_nnz,
-                     "windows": list(sol.windows)}
+    return sol.rho, {key: getattr(sol, key) for key in ("window", "residual", "lu_nnz", "windows")}
 
 
 def _steady_point(task):
@@ -518,9 +514,7 @@ def _dynamics_point(task):
         rho0 = all_up_state(params.n_atoms) if m0 is None else dicke_state(params.n_atoms, m0)
         traj = evolve(build_gamma0(params, algebra), rho0, times,
                       observables=_moment_operators(algebra), keep_states=False)
-        lo, hi = traj.window
-        record = {"block_size": traj.block_size, "matvecs": traj.matvecs, "window": hi - lo,
-                  "windows": list(traj.windows)}
+        record = {key: getattr(traj, key) for key in ("block_size", "matvecs", "window", "windows")}
         moments = trajectory_moments(traj.expectations, params.n_atoms)
         j2 = (params.n_atoms / 2.0) ** 2
         table["c_r"] = moments["c_r"]

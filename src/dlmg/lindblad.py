@@ -24,24 +24,35 @@ one-dimensional kernel spanned by the steady state.  The solve works on a
 window [lo, hi) of the ladder levels: H and every collapse operator are cut
 down to the window, which leaves a valid Lindbladian on it, and its steady
 state is padded with zeros.  The first window is the top min(d, 40) levels,
-where the collective pump D[J+] of the LMG models holds the state.  A padded
-window state rho has L rho inside the window widened by w = max(bw(H),
+where the collective pump D[J+] of the LMG models holds the state.  Each try
+assembles one Liouvillian, that of the window widened by w = max(bw(H),
 2 bw(A_k)) levels on each side (bw: the bandwidth; w = 2 for the three LMG
-models, since A+A doubles the bandwidth of A), and there the cut-down
-widened spec acts as the full one, so the residual on the full space is
-exact from the widened window; neither the d^2 Liouvillian nor its block
-search is built.  The truncation changes L only within w levels of an edge,
-so an edge whose nearby residual rows exceed the tolerance moves out by
-half the window size (1.5x growth), until the full-space residual meets the
-tolerance.  Each failed window costs a full LU, so a window whose next
-growth would cover the ladder (3 M >= 2 d for M levels) is widened to the
-whole ladder at once, which is the full solve; so d <= 60 is always solved
-whole.
+models, since A+A doubles the bandwidth of A).  A padded window state rho
+has L rho inside the widened window, and there the cut-down widened spec
+acts as the full one, so its product with that assembly is the exact
+full-space residual; neither the d^2 Liouvillian nor its block search is
+built.  The solve needs the truncated Liouvillian L_T instead, and takes it
+from the same assembly rather than a second one: sliced to the window, the
+widened L differs from L_T only in the part of A_k+ A_k that runs through
+levels outside the window.  With B_k the entries of A_k in the rows outside
+[lo, hi) and the columns inside, and Delta = sum_k rate_k B_k+ B_k,
+L_T = L + Delta kron I + I kron conj(Delta) on the window's coordinates.
+Delta is nonzero only within bw(A_k) levels of an edge, so the correction is
+a few sparse entries, and on the whole ladder there is none.  The
+truncation changes L only within w levels of an edge, so an edge whose
+nearby residual rows exceed the tolerance moves out by half the window size
+(1.5x growth), until the full-space residual meets the tolerance.  Each
+failed window costs a full LU, so a window whose next growth would cover the
+ladder (3 M >= 2 d for M levels) is widened to the whole ladder at once,
+which is the full solve; so d <= 60 is always solved whole.
 Within the window, the maximally mixed state relaxes to the steady state
-without leaving the block of vec coordinates reachable from its support
-(see Dynamics below), so the solve works on that block only: the even
-parity half of rho for gamma = 0 and gamma = -1, the populations for
-gamma = +1.  One diagonal row of the sliced Liouvillian is replaced by the
+without leaving the block of vec coordinates reachable from its support, so
+the solve works on that block only: the even parity half of rho for
+gamma = 0 and gamma = -1, the populations for gamma = +1.  The block comes
+from the one search of the window (see Dynamics below): on the widened
+assembly, from the window's diagonal, keeping the coordinates with both
+levels in the window.  The entries of Delta are among those of the widened
+A_k+ A_k, so the block is closed under L_T as well.  One diagonal row of the sliced Liouvillian is replaced by the
 trace row, the system is factorized by sparse LU, and the solve finishes with
 one step of iterative refinement on the same factorization.  The refinement
 step keeps the relative accuracy of tiny populations (e.g. the far tail of the
@@ -73,7 +84,8 @@ row is singular exactly when the block kernel holds a traceless element,
 i.e. when it has more than one dimension; another replaced row could not
 rescue it, and a singular factorization reports a non-unique steady state.
 Uniqueness is probed further on the accepted window by re-solving the block
-with a different replaced row and by factorizing the complement block C:
+with a different replaced row and by factorizing the complement block C of
+L_T, taken from the same assembly:
 nothing leaves the block, so in the ordering (block, complement) the
 Liouvillian is block upper-triangular, and if C is nonsingular the kernel is
 the block kernel padded with zeros.
@@ -98,12 +110,13 @@ N = 100 and lambda = 0.12, no |rho_ij| below level 22 exceeds 1e-16 by
 t = 10.  So the real coordinates are propagated on a window of levels
 [lo, hi): those whose two levels both lie in it, with the exact slice of L
 to them and the Taylor shift and 1-norm of that slice, so a narrow window
-also takes fewer substeps.  Each window assembles the Liouvillian of its
-levels widened by w (w as for the steady window), whose slice to the window
-is the exact slice of L, since w >= bw(A_k) forms every entry of A_k+ A_k
-there in full; the block search runs on it too, so the d^2 Liouvillian is
-built only for a window that is the whole ladder.  The first window is the
-levels rho0 occupies, widened by 20 on each side.  After each output step,
+also takes fewer substeps.  A window is built as for the steady solve, by
+one assembly of its levels widened by w and one block search there, from the
+coordinates of the state; the slice of that assembly to the window is the
+exact slice of L, since w >= bw(A_k) forms every entry of A_k+ A_k there in
+full, so the d^2 Liouvillian is built only for a window that is the whole
+ladder.  The first window is the levels rho0 occupies, widened by 20 on each
+side.  After each output step,
 the coordinates within w levels of an edge that can move must not exceed
 2^-53 max|x|, the rounding unit of the state; where they do, the edge moves
 out by half the window size (1.5x growth), clipped to the ladder, and the
@@ -117,6 +130,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -275,17 +289,6 @@ def liouvillian_matrix(spec: LindbladSpec, window: tuple | None = None) -> sp.cs
     return lv
 
 
-def _trace_indices(d: int) -> np.ndarray:
-    """Vec indices of the diagonal entries (row-major)."""
-    return np.arange(d) * (d + 1)
-
-
-def _finalize_state(vec: np.ndarray, d: int) -> np.ndarray:
-    rho = vec.reshape(d, d)
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / np.trace(rho).real
-
-
 def _factorize(mat: sp.spmatrix) -> spla.SuperLU:
     """Sparse LU of a steady-state system in SuperLU's symmetric mode.
 
@@ -327,13 +330,6 @@ def _solve_block(lv_r: sp.csr_matrix, trace: np.ndarray, row: int) -> tuple:
     return vec, lu.nnz
 
 
-def _block_state(vec: np.ndarray, idx: np.ndarray, d: int) -> np.ndarray:
-    """The d x d state whose vec coordinates ``idx`` hold ``vec`` and the rest zero."""
-    full = np.zeros(d * d, dtype=np.complex128)
-    full[idx] = vec
-    return _finalize_state(full, d)
-
-
 def _bandwidth(op: sp.csr_matrix) -> int:
     """Largest |i - j| over the stored entries of ``op``."""
     rows, cols, _ = _entries(op, 0, op.shape[0])
@@ -362,52 +358,147 @@ _FIRST_WINDOW = 40
 
 
 class _Window:
-    """The Lindbladian truncated to the levels [lo, hi), and the full-space residual of its states.
+    """The levels [lo, hi) of the ladder, from one assembly of L on them widened by w levels.
 
-    ``lv`` is the truncated Liouvillian and ``lv_r`` its block on the vec
-    coordinates ``idx`` reachable from the maximally mixed window state,
-    whose diagonal entries sit at the block positions ``trace``.  A window
-    state padded with zeros has L rho inside the window widened by ``width``
-    levels on each side, and there the widened truncated spec acts as the
-    full one, so its Liouvillian ``lv_wide`` gives the exact full-space
-    residual.
+    ``lv`` is the Liouvillian of the widened levels [a, b) = [lo - w,
+    hi + w) clipped to the ladder, by :func:`liouvillian_matrix`, with
+    w = :func:`_edge_width`; ``span`` is [a, b), ``wide`` = b - a and
+    ``inner`` is [lo, hi) counted from a.  One search on ``lv`` from the
+    full-ladder vec indices ``seed`` gives the block: the reachable
+    coordinates with both levels in [lo, hi), with vec indices ``idx`` in the
+    widened window and ``full`` on the ladder, and ``block``, the slice of
+    ``lv`` to them, which is the exact slice of L (see the module docstring).
+    The edge rows: ``bands`` are the widened levels within w of the lower and
+    the upper edge, and ``edges`` the real coordinates x (below) with a level
+    there; each is None for an edge at the end of the ladder, which cannot
+    move.
+
+    Steady states (seeded with the window's diagonal) solve the Lindbladian
+    truncated to [lo, hi), whose Liouvillian :meth:`truncated` takes from
+    ``lv``; the full-space residual of a window state padded with zeros is its
+    product with ``lv``.  Dynamics (seeded with the state's coordinates)
+    propagates the exact block in real coordinates: L(rho+) = L(rho)+, so on
+    Hermitian states L is real-linear in x, Re rho_ij for i <= j, then
+    Im rho_ij for i < j, one per block coordinate.  ``to_block`` maps x back
+    to the block (at most two entries per row), and ``taylor`` steps the real
+    generator L_R = [Re (L to_block) on the rows i <= j; Im (L to_block) on
+    i < j].
     """
 
-    def __init__(self, spec: LindbladSpec, lo: int, hi: int, width: int):
-        self.m = hi - lo
-        self.lv = liouvillian_matrix(spec, (lo, hi))
-        self.idx, self.lv_r = _reachable_block(self.lv, maximally_mixed(self.m).reshape(-1))
-        self.trace = np.searchsorted(self.idx, _trace_indices(self.m))
-        a, b = max(lo - width, 0), min(hi + width, spec.dim)
-        self.lv_wide = self.lv if (a, b) == (lo, hi) else liouvillian_matrix(spec, (a, b))
-        self.inner, self.wide = slice(lo - a, hi - a), b - a
-        # Rows of the widened window within ``width`` of the lower and upper window edge.
-        self.edges = (slice(0, lo - a + width), slice(max(hi - a - width, 0), b - a))
-        self.growable = (lo > 0, hi < spec.dim)
+    def __init__(self, spec: LindbladSpec, lo: int, hi: int, seed: np.ndarray):
+        d, width = spec.dim, _edge_width(spec)
+        a, b = max(lo - width, 0), min(hi + width, d)
+        self.spec, self.span, self.inner, self.wide = spec, slice(a, b), slice(lo - a, hi - a), b - a
+        start, keep = np.zeros((b - a, b - a), dtype=bool), np.zeros((b - a, b - a), dtype=bool)
+        i, j = np.divmod(seed, d)
+        start[i - a, j - a] = True
+        keep[self.inner, self.inner] = True
+        self.lv = liouvillian_matrix(spec, (a, b))
+        self.idx, self.block = _reachable_block(self.lv, start.reshape(-1), keep.reshape(-1))
+        self.i, self.j = np.divmod(self.idx, b - a)
+        self.full = (self.i + a) * d + self.j + a
+        self.upper, self.strict = np.flatnonzero(self.i <= self.j), np.flatnonzero(self.i < self.j)
+        self.bands = (slice(0, lo - a + width) if lo > 0 else None,
+                      slice(max(hi - a - width, 0), b - a) if hi < d else None)
+        of_x = np.concatenate((self.upper, self.strict))  # the block coordinate of each x
+        low, high = self.i[of_x], self.j[of_x]  # i <= j for each x
+        self.edges = (np.flatnonzero(low < lo - a + width) if lo > 0 else None,
+                      np.flatnonzero(high >= hi - a - width) if hi < d else None)
+
+    # -- steady states --------------------------------------------------------------
+
+    def truncated(self, coords: np.ndarray, exact: sp.csr_matrix) -> sp.csr_matrix:
+        """L_T, the Liouvillian of the spec truncated to [lo, hi), on the window's ``coords``.
+
+        ``coords`` are widened vec indices and ``exact`` is ``lv`` sliced to
+        them.  There L_T = L + Delta kron I + I kron conj(Delta), with
+        Delta = sum_k rate_k B_k+ B_k and B_k the entries of A_k in the rows
+        outside [lo, hi) and the columns inside: the part of A_k+ A_k that
+        the widened spec forms and the truncated one does not.
+        """
+        lo, hi, m = self.inner.start, self.inner.stop, self.wide
+        if hi - lo == m:  # no level outside the window: L_T = L
+            return exact
+        outside = np.r_[:lo, hi:m]
+        delta = np.zeros((m, m), dtype=np.complex128)
+        for rate, op in self.spec.dissipators:
+            cut = op[self.span, self.span][outside][:, lo:hi].toarray()  # B_k
+            delta[lo:hi, lo:hi] += rate * (cut.conj().T @ cut)
+        p, q = np.nonzero(delta)
+        at = np.full((m, m), -1)  # the position in ``coords`` of each widened coordinate
+        at.flat[coords] = np.arange(len(coords))
+        # Delta kron I takes (q, l) to (p, l), and I kron conj(Delta) takes (l, q) to (l, p).
+        rows = np.concatenate((at[p], at[:, p].T)).ravel()
+        cols = np.concatenate((at[q], at[:, q].T)).ravel()
+        vals = np.concatenate((np.repeat(delta[p, q], m), np.repeat(delta[p, q].conj(), m)))
+        keep = (rows >= 0) & (cols >= 0)
+        return exact + sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=exact.shape)
+
+    @cached_property
+    def system(self) -> tuple:
+        """L_T on the block, and the block positions of the window's diagonal entries."""
+        diagonal = np.arange(self.inner.start, self.inner.stop) * (self.wide + 1)
+        return self.truncated(self.idx, self.block), np.searchsorted(self.idx, diagonal)
 
     def state(self, vec: np.ndarray) -> np.ndarray:
-        return _block_state(vec, self.idx, self.m)
-
-    def _padded(self, rho: np.ndarray) -> np.ndarray:
-        if self.wide == self.m:
-            return rho
-        pad = np.zeros((self.wide, self.wide), dtype=np.complex128)
-        pad[self.inner, self.inner] = rho
-        return pad
+        """The Hermitian unit-trace d x d state with ``vec`` on the block and zeros elsewhere."""
+        rho = np.zeros((self.spec.dim,) * 2, dtype=np.complex128)
+        rho.flat[self.full] = vec
+        rho = 0.5 * (rho + rho.conj().T)
+        return rho / np.trace(rho).real
 
     def residual(self, rho: np.ndarray, tol: float) -> tuple:
-        """max |L rho| over the full space for the window state ``rho`` padded with zeros,
+        """max |L rho| over the full space for a window state ``rho``,
         and whether each edge, lower and upper, can move and has residual rows above ``tol``.
 
         Both come from one product.  The truncation changes L only within
-        ``width`` levels of an edge, so residual rows there above ``tol`` ask
-        for a wider window.
+        w levels of an edge, so residual rows there above ``tol`` ask for a
+        wider window.
         """
-        res = np.abs(self.lv_wide @ self._padded(rho).reshape(-1))
-        top, rows = float(res.max()), res.reshape(self.wide, self.wide)
-        grow = tuple(bool(can and (rows[edge].max(initial=0.0) > tol))
-                     for can, edge in zip(self.growable, self.edges))
+        rows = np.abs(self.lv @ rho[self.span, self.span].reshape(-1)).reshape(self.wide, -1)
+        top = float(rows.max())
+        grow = tuple(band is not None and bool(rows[band].max(initial=0.0) > tol)
+                     for band in self.bands)
         return (top if np.isfinite(top) else np.inf), grow
+
+    def complement(self) -> sp.csr_matrix:
+        """L_T on the window coordinates outside the block."""
+        levels = np.arange(self.inner.start, self.inner.stop)
+        inside = (levels[:, None] * self.wide + levels).reshape(-1)
+        comp = np.setdiff1d(inside, self.idx, assume_unique=True)
+        return self.truncated(comp, self.lv[comp][:, comp])
+
+    # -- dynamics -------------------------------------------------------------------
+
+    @cached_property
+    def to_block(self) -> sp.csr_matrix:
+        n, i, j = len(self.idx), self.i, self.j
+        # The upper-triangle representative of each coordinate, and its Im sign.
+        rep = np.where(i <= j, np.arange(n), np.searchsorted(self.idx, j * self.wide + i))
+        sign = np.sign(j - i)
+        off = np.flatnonzero(sign)
+        rows = np.concatenate((np.arange(n), off))
+        cols = np.concatenate((np.searchsorted(self.upper, rep),
+                               len(self.upper) + np.searchsorted(self.strict, rep[off])))
+        vals = np.concatenate((np.ones(n), 1j * sign[off]))
+        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+    @cached_property
+    def taylor(self) -> _Taylor:
+        lt = (self.block @ self.to_block).tocsr()
+        generator = sp.vstack((lt[self.upper].real, lt[self.strict].imag), format="csr")
+        generator.eliminate_zeros()
+        return _Taylor(generator)
+
+    def to_real(self, vec: np.ndarray) -> np.ndarray:
+        """Real coordinates of a Hermitian state given on the block."""
+        return np.concatenate((vec[self.upper].real, vec[self.strict].imag))
+
+    def edges_over(self, y: np.ndarray) -> tuple:
+        """Whether each edge, lower and upper, can move and has an entry of ``y`` > 2^-53 max|y|."""
+        tol = 2.0**-53 * np.abs(y).max()
+        return tuple(rows is not None and bool(np.abs(y[rows]).max(initial=0.0) > tol)
+                     for rows in self.edges)
 
 
 @dataclass(frozen=True)
@@ -432,17 +523,21 @@ def steady_state(spec: LindbladSpec, tol: float = 1e-10, check_unique: bool = Tr
     """Steady state of the Lindblad generator, to max-abs residual ``tol`` on the full space.
 
     The solve runs on a window [lo, hi) of the levels (see the module
-    docstring).  The first window is the top min(d, 40) levels; the exact
-    full-space residual of the zero-padded state is taken from the window
-    widened by the operators' bandwidth, and each edge whose residual rows
-    there exceed ``tol`` moves out by half the window size until the gate
-    passes; a window of at least 2d/3 levels is the whole ladder.  In the
-    window the solve runs on the block of vec coordinates
-    reachable from the maximally mixed state, once per window.
+    docstring).  The first window is the top min(d, 40) levels.  Each try
+    assembles the Liouvillian once, on the window widened by the operators'
+    bandwidth: its product with the zero-padded state is the exact
+    full-space residual, and the generator of the spec truncated to the
+    window, which the solve needs, is that assembly plus a correction at the
+    window's edges for the collapse terms that run through levels outside
+    it.  Each edge whose residual rows exceed ``tol`` moves out by half the
+    window size until the gate passes; a window of at least 2d/3 levels is
+    the whole ladder.  In the window the solve runs on the block of vec
+    coordinates reachable from the maximally mixed state, once per window.
     ``check_unique`` probes a second replaced row inside the block and
     factorizes the complement block of the accepted window, whose singularity
-    would allow a second fixed point outside it.  :func:`steady_solution` also
-    returns the window and the residual.
+    would allow a second fixed point outside it; neither probe assembles
+    anything.  :func:`steady_solution` also returns the window and the
+    residual.
 
     Raises ValueError if no dissipator has a positive rate,
     :class:`SteadyStateError` with the residual if a window misses the
@@ -460,17 +555,16 @@ def steady_solution(spec: LindbladSpec, tol: float = 1e-10,
     if not any(rate > 0 for rate, _ in spec.dissipators):
         raise ValueError("steady_state requires a dissipator with a positive rate")
     d = spec.dim
-    width = _edge_width(spec)
     lo, hi = 0, min(d, _FIRST_WINDOW)
     windows = []
     while True:
         if 3 * (hi - lo) >= 2 * d:
             # The next growth would cover the ladder anyway, and each failed window costs a full LU.
             lo, hi = 0, d
-        win = _Window(spec, lo, hi, width)
-        windows.append(win.m)
+        win = _Window(spec, lo, hi, np.arange(lo, hi) * (d + 1))
+        windows.append(hi - lo)
         try:
-            vec, lu_nnz = _solve_block(win.lv_r, win.trace, 0)
+            vec, lu_nnz = _solve_block(*win.system, 0)
         except RuntimeError:
             # Every replaced diagonal row gives a singular system once one does.
             raise NonUniqueSteadyStateError(
@@ -490,7 +584,7 @@ def steady_solution(spec: LindbladSpec, tol: float = 1e-10,
         # An exactly singular re-solve means the trace constraint did not pin
         # the block kernel down: more than one fixed point.
         try:
-            rho2 = win.state(_solve_block(win.lv_r, win.trace, win.m // 2)[0])
+            rho2 = win.state(_solve_block(*win.system, (hi - lo) // 2)[0])
         except RuntimeError:
             raise NonUniqueSteadyStateError(
                 "non-unique steady state: probe solve singular", residual=res
@@ -501,17 +595,14 @@ def steady_solution(spec: LindbladSpec, tol: float = 1e-10,
                 "non-unique steady state: two fixed points found", residual=res
             )
         # A singular complement block allows a fixed point outside the block.
-        comp = np.setdiff1d(np.arange(win.m * win.m), win.idx, assume_unique=True)
-        if len(comp):
+        comp = win.complement()
+        if comp.shape[0]:
             try:
-                _factorize(win.lv[comp][:, comp])
+                _factorize(comp)
             except RuntimeError:
                 raise NonUniqueSteadyStateError(
                     "non-unique steady state: complement block singular", residual=res
                 ) from None
-    if win.m < d:
-        rho, window_rho = np.zeros((d, d), dtype=np.complex128), rho
-        rho[lo:hi, lo:hi] = window_rho
     return SteadySolution(rho, (lo, hi), res, lu_nnz, tuple(windows))
 
 
@@ -586,67 +677,6 @@ class _Taylor:
                 c1 = c2
             f *= eta
         return f
-
-
-class _LevelWindow:
-    """The generator on the Hermitian states of a window of levels, in real coordinates.
-
-    The window holds the vec coordinates (i, j) with both levels in [lo, hi).
-    Its exact slice of L is the slice of the Liouvillian of the window widened
-    by ``width`` levels on each side (see the module docstring), and one
-    search there from the full-ladder vec indices ``seed`` gives the
-    reachable coordinates inside the window: the block, whose full-ladder vec
-    indices are ``full``, closed under (i, j) -> (j, i).  L(rho+) = L(rho)+,
-    so on Hermitian states L is real-linear in the real coordinates x:
-    Re rho_ij for i <= j, then Im rho_ij for i < j, one per block coordinate.
-    ``to_block`` maps x back to the block (at most two entries per row), and
-    ``taylor`` steps the real generator L_R = [Re (L to_block) on the rows
-    i <= j; Im (L to_block) on i < j].  ``edges`` selects the x within
-    ``width`` levels of the lower and the upper edge, or is None for an edge
-    at the end of the ladder, which cannot move.
-    """
-
-    def __init__(self, spec: LindbladSpec, lo: int, hi: int, width: int, seed: np.ndarray):
-        d = spec.dim
-        a, b = max(lo - width, 0), min(hi + width, d)
-        m = b - a
-        i, j = np.divmod(seed, d)
-        start, keep = np.zeros((m, m), dtype=bool), np.zeros((m, m), dtype=bool)
-        start[i - a, j - a] = True
-        keep[lo - a:hi - a, lo - a:hi - a] = True
-        idx, lv = _reachable_block(liouvillian_matrix(spec, (a, b)), start.reshape(-1),
-                                   keep.reshape(-1))
-        n = len(idx)
-        i, j = np.divmod(idx, m)
-        # The upper-triangle representative of each coordinate, and its Im sign.
-        rep = np.where(i <= j, np.arange(n), np.searchsorted(idx, j * m + i))
-        sign = np.sign(j - i)
-        self.upper, self.strict = np.flatnonzero(i <= j), np.flatnonzero(i < j)
-        off = np.flatnonzero(sign)
-        rows = np.concatenate((np.arange(n), off))
-        cols = np.concatenate((np.searchsorted(self.upper, rep),
-                               len(self.upper) + np.searchsorted(self.strict, rep[off])))
-        vals = np.concatenate((np.ones(n), 1j * sign[off]))
-        self.to_block = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        lt = (lv @ self.to_block).tocsr()
-        generator = sp.vstack((lt[self.upper].real, lt[self.strict].imag), format="csr")
-        generator.eliminate_zeros()
-        self.taylor = _Taylor(generator)
-        self.full = (i + a) * d + j + a
-        of_x = np.concatenate((self.upper, self.strict))  # the block coordinate of each x
-        low, high = np.minimum(i, j)[of_x] + a, np.maximum(i, j)[of_x] + a
-        self.edges = (np.flatnonzero(low < lo + width) if lo > 0 else None,
-                      np.flatnonzero(high >= hi - width) if hi < d else None)
-
-    def to_real(self, vec: np.ndarray) -> np.ndarray:
-        """Real coordinates of a Hermitian state given on the block."""
-        return np.concatenate((vec[self.upper].real, vec[self.strict].imag))
-
-    def edges_over(self, y: np.ndarray) -> tuple:
-        """Whether each edge, lower and upper, can move and has an entry of ``y`` > 2^-53 max|y|."""
-        tol = 2.0**-53 * np.abs(y).max()
-        return tuple(rows is not None and bool(np.abs(y[rows]).max(initial=0.0) > tol)
-                     for rows in self.edges)
 
 
 def _vec_rows(ops: dict) -> sp.csr_matrix:
@@ -742,8 +772,7 @@ def evolve(
     states = np.zeros((len(times), d * d), dtype=np.complex128) if keep_states else None
     half = _FIRST_WINDOW // 2
     lo, hi = max(int(occupied[0]) - half, 0), min(int(occupied[-1]) + 1 + half, d)
-    width = _edge_width(spec)
-    win, matvecs = _LevelWindow(spec, lo, hi, width, np.flatnonzero(rho0)), 0
+    win, matvecs = _Window(spec, lo, hi, np.flatnonzero(rho0)), 0
     windows = [hi - lo]
     x, t_prev, readout = win.to_real(rho0.reshape(-1)[win.full]), 0.0, None
     for k, t in enumerate(times):
@@ -756,7 +785,7 @@ def evolve(
                 # The state reached an edge that can move: redo the step on a wider window.
                 lo, hi = _grown(lo, hi, grow, d)
                 matvecs += win.taylor.matvecs
-                wider = _LevelWindow(spec, lo, hi, width, win.full)
+                wider = _Window(spec, lo, hi, win.full)
                 vec = np.zeros(len(wider.full), dtype=np.complex128)
                 vec[np.searchsorted(wider.full, win.full)] = win.to_block @ x
                 x, win, readout = wider.to_real(vec), wider, None

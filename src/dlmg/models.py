@@ -114,6 +114,8 @@ class LMGParams:
             raise ValueError("n_atoms must be >= 1")
         if self.gamma_anisotropy not in (-1, 0, 1):
             raise ValueError("gamma_anisotropy must be one of -1, 0, +1")
+        if not np.isfinite([self.h, self.lam, self.Gamma_a, self.Gamma_b]).all():
+            raise ValueError("h, lambda and the dissipation rates must be finite")
         if self.Gamma_a < 0 or self.Gamma_b < 0:
             raise ValueError("dissipation rates must be >= 0")
 

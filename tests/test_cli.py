@@ -159,13 +159,20 @@ def test_exit_code_one_on_unknown_key(tmp_path, capsys):
     ("spectrum", {**TINY_RUNS["spectrum"], "spectrum.nu_points": "0"}),
     ("spectrum", {**TINY_RUNS["spectrum"], "spectrum.values": "0.3,0.30,0.6"}),
     ("qfunc", {**TINY_RUNS["qfunc"], "qfunc.values": "0.5,0.50"}),
+    ("steady", {**FAST_STEADY, "gamma_a": "nan"}),
+    ("steady", {**FAST_STEADY, "h": "nan"}),
+    ("steady", {**FAST_STEADY, "gamma_b": "inf"}),
+    ("steady", {**FAST_STEADY, "sweep.stop": "inf"}),
+    ("spectrum", {**TINY_RUNS["spectrum"], "spectrum.kappa_a": "nan"}),
+    ("spectrum", {**TINY_RUNS["spectrum"], "spectrum.values": "0.5,nan"}),
 ], ids=["isotropic", "conventional", "spectrum-variable", "qfunc-variable",
         "dynamics-key", "spectrum-key", "outputs-name", "spectrum-number", "qfunc-n-list",
         "dynamics-initial-m", "spectrum-gamma-a", "spectrum-gamma-b", "spectrum-n-atoms",
         "spectrum-micro", "steady-no-dissipation", "qfunc-no-dissipation",
         "dynamics-no-times", "dynamics-zero-t-end", "dynamics-negative-t-end",
         "qfunc-no-theta", "qfunc-negative-phi", "spectrum-no-nu", "spectrum-repeated-value",
-        "qfunc-repeated-value"])
+        "qfunc-repeated-value", "steady-nan-gamma-a", "steady-nan-h", "steady-inf-gamma-b",
+        "steady-inf-sweep-stop", "spectrum-nan-kappa-a", "spectrum-nan-value"])
 def test_rejected_config_exits_one_and_writes_nothing(tmp_path, capsys, command, cfg):
     out = tmp_path / "out"
     rc = cli.main([command, "--config", str(write_config(tmp_path, cfg)), "--jobs", "1",
@@ -304,6 +311,12 @@ def test_failed_steady_solve_fails_its_point(tmp_path, monkeypatch, failure):
         assert all(p["residual"] > 1e-10 for p in points)
 
 
+def _levels(point) -> int:
+    """The level count of a manifest point's window, recorded as [lo, hi]."""
+    lo, hi = point["window"]
+    return hi - lo
+
+
 @pytest.mark.parametrize("n_atoms,max_window", [(4, 5), (60, 61)])
 def test_steady_manifest_records_window_and_residual(tmp_path, n_atoms, max_window):
     cfg = write_config(tmp_path, {**FAST_STEADY, "n_atoms": str(n_atoms), "sweep.points": "3",
@@ -314,10 +327,10 @@ def test_steady_manifest_records_window_and_residual(tmp_path, n_atoms, max_wind
     assert len(points) == 3
     assert all(p["residual"] <= 1e-10 for p in points)
     if n_atoms == 4:
-        assert all(p["window"] == 5 for p in points)
+        assert all(p["window"] == [0, 5] for p in points)
     else:
-        assert all(40 <= p["window"] <= max_window for p in points)
-        assert min(p["window"] for p in points) < max_window  # the window did not always fill
+        assert all(40 <= _levels(p) <= max_window for p in points)
+        assert min(_levels(p) for p in points) < max_window  # the window did not always fill
 
 
 def test_qfunc_manifest_records_window_and_residual(tmp_path):
@@ -325,7 +338,7 @@ def test_qfunc_manifest_records_window_and_residual(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["qfunc", "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 0
     points = json.loads((out / "manifest.json").read_text())["points"]
-    assert all(p["window"] == 5 and p["residual"] <= 1e-10 for p in points)
+    assert all(p["window"] == [0, 5] and p["residual"] <= 1e-10 for p in points)
 
 
 def _record_fill(monkeypatch) -> list:
@@ -351,7 +364,7 @@ def test_steady_manifest_records_windows_and_fill(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert cli.main(["steady", "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 0
     point = json.loads((out / "manifest.json").read_text())["points"][0]
-    assert point["windows"] == [40, 60, 101] and point["window"] == 101
+    assert point["windows"] == [40, 60, 101] and point["window"] == [0, 101]
     assert point["lu_nnz"] == nnz[2]
 
 
@@ -480,7 +493,7 @@ def test_dynamics_manifest_records_block_size_and_matvecs(tmp_path):
         assert cli.main(["dynamics", "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 0
         points = json.loads((out / "manifest.json").read_text())["points"]
         assert len(points) == 3
-        assert all(p["block_size"] == block and p["matvecs"] > 0 and p["window"] == windows[-1]
+        assert all(p["block_size"] == block and p["matvecs"] > 0 and _levels(p) == windows[-1]
                    and p["windows"] == windows for p in points)
 
 

@@ -250,6 +250,11 @@ def test_singular_block_solve_reports_a_non_unique_steady_state(monkeypatch):
             steady_state(spec, tol=1e-10, check_unique=check_unique)
 
 
+def steady_window(spec, lo, hi):
+    """The window [lo, hi) as :func:`steady_solution` builds it: seeded with its diagonal."""
+    return lindblad._Window(spec, lo, hi, np.arange(lo, hi) * (spec.dim + 1))
+
+
 def test_steady_solution_fails_with_the_residual_it_missed(monkeypatch):
     # At d <= 60 the first window is the whole ladder, so a miss has no edge to grow.
     spec = gamma0_spec(30, h=1.0, lam=1.3, gamma_a=0.01, gamma_b=0.2)
@@ -261,8 +266,8 @@ def test_steady_solution_fails_with_the_residual_it_missed(monkeypatch):
         vec[trace[1]] += 1e-3
         return vec, nnz
 
-    win = lindblad._Window(spec, 0, spec.dim, lindblad._edge_width(spec))
-    rho = win.state(perturbed(win.lv_r, win.trace, 0)[0])
+    win = steady_window(spec, 0, spec.dim)
+    rho = win.state(perturbed(*win.system, 0)[0])
     missed = np.max(np.abs(liouvillian_matrix(spec) @ rho.reshape(-1)))
     assert missed > 1e-6
     monkeypatch.setattr(lindblad, "_solve_block", perturbed)
@@ -318,6 +323,16 @@ def test_windowed_liouvillian_matches_the_truncated_spec(model, window):
     if hi - lo <= 7:
         oracle = elementwise_superoperator(*dense_spec(truncated_spec(spec, lo, hi)))
         assert np.max(np.abs(lv.toarray() - oracle)) <= 1e-13
+    # The steady window takes L_T from the widened assembly by its edge
+    # correction: its block and complement block are the truncated L's, on the
+    # block that a search on the truncated L finds.
+    m = hi - lo
+    win = steady_window(spec, lo, hi)
+    idx, _ = lindblad._reachable_block(lv, maximally_mixed(m).reshape(-1))
+    assert np.array_equal((win.i - win.inner.start) * m + win.j - win.inner.start, idx)
+    comp = np.setdiff1d(np.arange(m * m), idx)
+    assert len(comp) and abs(win.system[0] - lv[idx][:, idx]).max() <= 1e-13
+    assert abs(win.complement() - lv[comp][:, comp]).max() <= 1e-13
 
 
 def colamd_factorize(mat):
@@ -377,6 +392,20 @@ def test_steady_solution_records_its_windows_and_fill():
     assert sol.window == (0, 101) and sol.windows == (40, 60, 101)
     # One factorization per failed window, and the accepted one last.
     assert len(nnz) == 3 and sol.lu_nnz == nnz[-1] > 101**2 // 2
+
+
+def test_steady_solution_assembles_only_each_widened_window(monkeypatch):
+    # Each steady try assembles its levels widened by w = 2 levels, once: the
+    # truncated generator of the solve and the complement block of the
+    # uniqueness probe come from that assembly too.
+    calls = []
+    assemble = lindblad.liouvillian_matrix
+    monkeypatch.setattr(lindblad, "liouvillian_matrix",
+                        lambda spec, window=None: calls.append(window) or assemble(spec, window))
+    spec = gamma0_spec(100, h=1.0, lam=1.46, gamma_a=0.01, gamma_b=0.2)
+    sol = steady_solution(spec, check_unique=True)
+    assert sol.windows == (40, 60, 101)
+    assert calls == [(0, 42), (0, 62), (0, 101)]
 
 
 def test_steady_window_below_two_thirds_of_the_ladder_stays_a_window():
@@ -498,12 +527,12 @@ def test_window_residual_is_the_full_space_residual(n, lam):
     residual = lambda rho: np.max(np.abs(lv @ rho.reshape(-1)))
     assert sol.residual == pytest.approx(residual(sol.rho), rel=1e-6, abs=1e-18)
     # Exact also where the window is too small and the residual sits at its edge.
-    win = lindblad._Window(spec, 0, 40, 2)
-    rho = win.state(lindblad._solve_block(win.lv_r, win.trace, 0)[0])
-    padded = np.zeros((spec.dim, spec.dim), dtype=complex)
-    padded[:40, :40] = rho
+    win = steady_window(spec, 0, 40)
+    assert win.span == slice(0, 42)
+    rho = win.state(lindblad._solve_block(*win.system, 0)[0])
+    assert not rho[40:].any() and not rho[:, 40:].any()
     res, grow = win.residual(rho, 1e-10)
-    assert res == pytest.approx(residual(padded), rel=1e-12)
+    assert res == pytest.approx(residual(rho), rel=1e-12)
     assert grow == (False, res > 1e-10)
 
 
@@ -790,7 +819,7 @@ def test_evolve_on_a_window_matches_expm_multiply(n, lam, k, times, window):
 
 def whole_ladder_window(spec, rho0):
     """The real generator of the block reachable from rho0 on the whole ladder."""
-    return lindblad._LevelWindow(spec, 0, spec.dim, lindblad._edge_width(spec), np.flatnonzero(rho0))
+    return lindblad._Window(spec, 0, spec.dim, np.flatnonzero(rho0))
 
 
 def full_ladder_states(spec, rho0, times):
