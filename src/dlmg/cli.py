@@ -20,9 +20,14 @@ a ``dynamics.t_points``, ``spectrum.nu_points``, ``qfunc.n_theta`` or
 ``qfunc.n_phi`` below 1, a ``dynamics.t_end`` that is not positive while
 ``dynamics.t_points`` >= 2, ``gamma_a = gamma_b = 0`` under ``steady``
 or ``qfunc`` (no dissipation, so no unique steady state; ``dynamics`` then
-runs the unitary evolution), or, under ``spectrum``, a model key other than
-``lambda``, ``h`` and ``model`` (the spectrum derives its own parameters,
-so ``gamma_a``, ``gamma_b``, ``n_atoms`` and ``micro.*`` would be ignored).
+runs the unitary evolution), a lambda < 0 where the mean-field branch is
+read (``steady``, ``dynamics`` with ``hp``, ``spectrum``; it exists for
+lambda >= 0 only), a complex value of a real ``micro.*`` key, or, under
+``spectrum``, a model key other than ``lambda``, ``h`` and ``model`` (the
+spectrum derives its own parameters, so ``gamma_a``, ``gamma_b``,
+``n_atoms`` and ``micro.*`` would be ignored) or cavity values for which
+``fig_cavity`` raises (the planner builds each value's linear system).
+HP moments at a critical point are taken lambda +- ``SINGULAR_OFFSET`` away.
 
 Only ``steady``, ``dynamics`` and ``qfunc`` import the finite-N engine
 (``operators``, ``lindblad``, ``observables``: scipy.sparse and scipy.linalg,
@@ -111,7 +116,7 @@ logger = logging.getLogger("dlmg")
 # of the others, so that a preset runs under another command.
 _CLI_KEYS = {
     "command", "outputs",
-    "sweep.variable", "sweep.start", "sweep.stop", "sweep.points", "sweep.singular_offset",
+    "sweep.variable", "sweep.start", "sweep.stop", "sweep.points",
     "dynamics.t_end", "dynamics.t_points", "dynamics.initial_m",
     "spectrum.values", "spectrum.nu_min", "spectrum.nu_max", "spectrum.nu_points",
     "spectrum.gamma_b", "spectrum.kappa_a", "spectrum.delta_a", "spectrum.kappa_b",
@@ -276,7 +281,6 @@ def _plan_steady(cli_cfg, model_cfg, variable, outputs) -> _Plan:
     # Imported here, in the main process, so that a forked pool inherits the
     # engine; the point functions import its names themselves.
     from . import lindblad, observables, operators  # noqa: F401
-    offset = _number(cli_cfg, "sweep.singular_offset", SINGULAR_OFFSET)
     columns = list(_STEADY_COLUMNS)
     if outputs & {"entanglement", "cphi"}:
         columns += _ENTANGLEMENT_COLUMNS
@@ -288,13 +292,14 @@ def _plan_steady(cli_cfg, model_cfg, variable, outputs) -> _Plan:
     if "semiclassical" in outputs:
         kinds.append(("semiclassical", ["lambda", "h", "branch", "X", "Y", "Z", "stable"]))
     coords, params = _sweep_grid(cli_cfg, model_cfg, variable)
-    tasks = [(p, v, outputs, columns, offset) for p, (v, _) in zip(params, coords)]
+    if any(p.lam < 0 for p in params):  # fixed_points needs lambda >= 0
+        raise ConfigError("steady reads the mean-field branch, which needs lambda >= 0")
+    tasks = [(p, v, outputs, columns) for p, (v, _) in zip(params, coords)]
     return _Plan(variable, _steady_point, tasks, coords, _per_n_files(coords, kinds))
 
 
 def _plan_dynamics(cli_cfg, model_cfg, variable, outputs) -> _Plan:
     from . import lindblad, observables, operators  # noqa: F401
-    offset = _number(cli_cfg, "sweep.singular_offset", SINGULAR_OFFSET)
     t_end = _number(cli_cfg, "dynamics.t_end", 10.0)
     t_points = _count(cli_cfg, "dynamics.t_points", 101)
     if t_points >= 2 and t_end <= 0.0:
@@ -309,10 +314,13 @@ def _plan_dynamics(cli_cfg, model_cfg, variable, outputs) -> _Plan:
     if "hp" in outputs:
         columns.append("c_r_hp")
     coords, params = _sweep_grid(cli_cfg, model_cfg, variable)
+    if "hp" in outputs and any(p.lam < 0 for p in params):
+        raise ConfigError("dynamics output hp reads the mean-field branch, "
+                          "which needs lambda >= 0")
     if m0 is not None:
         for n in dict.fromkeys(n for _, n in coords):
             operators.dicke_state(n, m0)  # raises ValueError unless m0 is in {-N/2, ..., N/2}
-    tasks = [(p, outputs, columns, times, m0, offset) for p in params]
+    tasks = [(p, outputs, columns, times, m0) for p in params]
     return _Plan(variable, _dynamics_point, tasks, coords,
                  _per_n_files(coords, [("dynamics", columns)]))
 
@@ -330,7 +338,11 @@ def _plan_spectrum(cli_cfg, model_cfg, variable, outputs) -> _Plan:
     nu = np.linspace(_number(cli_cfg, "spectrum.nu_min", -3.0),
                      _number(cli_cfg, "spectrum.nu_max", 3.0),
                      _count(cli_cfg, "spectrum.nu_points", 2001))
-    tasks = [((v, h) if variable == "lambda" else (lam, v), cavity, nu) for v in values]
+    # Built here, so a cavity that fig_cavity rejects is a config error.
+    tasks = []
+    for v in values:
+        params, cav = fig_cavity(*((v, h) if variable == "lambda" else (lam, v)), **cavity)
+        tasks.append((linear_system(params, cav, rotation_angles(selected_branch(params))), nu))
     return _Plan(variable, _spectrum_point, tasks, [(v, 0) for v in values],
                  _per_value_files("spectrum", variable, values, ["nu", "t_p", "diverged"]))
 
@@ -391,14 +403,14 @@ def _plan(command: str, cfg: dict) -> _Plan:
 # -- points ------------------------------------------------------------------------
 
 
-def _offset_retry(params: LMGParams, offset: float, solve):
-    """``solve(params)``, else ``solve`` at lambda + offset, then lambda - offset.
+def _offset_retry(params: LMGParams, solve):
+    """``solve(params)``, else at lambda + ``SINGULAR_OFFSET``, then at lambda - it.
 
     The HP linearization is singular at the transition itself.  Returns None
     when all three raise.
     """
-    for trial in (params, dataclasses.replace(params, lam=params.lam + offset),
-                  dataclasses.replace(params, lam=params.lam - offset)):
+    for trial in (params, dataclasses.replace(params, lam=params.lam + SINGULAR_OFFSET),
+                  dataclasses.replace(params, lam=params.lam - SINGULAR_OFFSET)):
         try:
             return solve(trial)
         except (NoStableGaussianState, ValueError):
@@ -406,16 +418,16 @@ def _offset_retry(params: LMGParams, offset: float, solve):
     return None
 
 
-def _hp_steady(params: LMGParams, fp, offset: float = SINGULAR_OFFSET):
+def _hp_steady(params: LMGParams, fp):
     """HP steady moments at a sweep point whose selected branch is ``fp``, or None.
 
     At a shifted coupling the branch is selected again.
     """
-    return _offset_retry(params, offset, lambda trial: moment_steady_state(
+    return _offset_retry(params, lambda trial: moment_steady_state(
         hp_coefficients(trial, fp if trial is params else selected_branch(trial))))
 
 
-def _hp_dynamics_curve(params: LMGParams, times, offset: float = SINGULAR_OFFSET) -> list:
+def _hp_dynamics_curve(params: LMGParams, times) -> list:
     """C_R^HP(t) from vacuum initial moments about the selected branch."""
     from .observables import hp_entanglement
 
@@ -423,7 +435,7 @@ def _hp_dynamics_curve(params: LMGParams, times, offset: float = SINGULAR_OFFSET
         coeffs = hp_coefficients(trial, selected_branch(trial))
         return [hp_entanglement(s).c_r for s in evolve_moments(coeffs, MomentState(n=0.0, m=0.0), times)]
 
-    result = _offset_retry(params, offset, curve)
+    result = _offset_retry(params, curve)
     if result is None:
         raise PointFailure("no HP linearization available at this point")
     return result
@@ -453,7 +465,7 @@ def _steady_point(task):
     from .observables import _second_moments, entanglement_curve, hp_entanglement
     from .operators import build_algebra
 
-    params, value, outputs, columns, offset = task
+    params, value, outputs, columns = task
     algebra = build_algebra(params.n_atoms)
     rho, record = _steady_rho(params, algebra)
     # Every collective moment is read once; the columns and C_R share them.
@@ -468,7 +480,7 @@ def _steady_point(task):
     rows = {}
     moments = None
     if outputs & {"entanglement", "cphi", "eigenvalues"}:
-        moments = _hp_steady(params, fp_sel, offset)
+        moments = _hp_steady(params, fp_sel)
     if outputs & {"entanglement", "cphi"}:
         ent = entanglement_curve(rho, algebra, moments=spin)
         row["c_r"] = ent.c_r
@@ -503,12 +515,12 @@ def _dynamics_point(task):
     from .observables import _moment_operators, trajectory_moments
     from .operators import all_up_state, build_algebra, dicke_state
 
-    params, outputs, columns, times, m0, offset = task
+    params, outputs, columns, times, m0 = task
     table = {"lambda": np.full(len(times), params.lam), "h": np.full(len(times), params.h),
              "t": times}
     record = {}
     if "hp" in outputs:
-        table["c_r_hp"] = _hp_dynamics_curve(params, times, offset)
+        table["c_r_hp"] = _hp_dynamics_curve(params, times)
     if outputs & {"entanglement", "moments"}:
         algebra = build_algebra(params.n_atoms)
         rho0 = all_up_state(params.n_atoms) if m0 is None else dicke_state(params.n_atoms, m0)
@@ -525,9 +537,7 @@ def _dynamics_point(task):
 
 
 def _spectrum_point(task):
-    (lam, h), cavity, nu = task
-    params, cav = fig_cavity(lam=lam, h=h, **cavity)
-    sysm = linear_system(params, cav, rotation_angles(selected_branch(params)))
+    sysm, nu = task
     result = transmission(sysm, nu)
     return {"rows": {"spectrum": np.column_stack([result.nu, result.t_p, result.diverged])},
             "record": {"diverged_points": int(result.diverged.sum())}}

@@ -282,6 +282,9 @@ _MICRO_KEYS = {
     "kappa_a", "kappa_b", "delta_a_raw", "delta_b_raw", "n_atoms",
 }
 
+# The Rabi frequencies and cavity couplings; the other micro keys are real.
+_COMPLEX_MICRO_KEYS = {"rabi_r0", "rabi_s0", "rabi_r1", "rabi_s1", "g_r0", "g_s1", "g_r1", "g_s0"}
+
 _MODEL_BUILDERS = {"gamma0": 0, "conventional": -1, "isotropic": 1}
 
 
@@ -344,14 +347,11 @@ def model_params_from_config(cfg: dict) -> LMGParams:
         # (so a sweep over h or lambda wins over the derived values).
         kwargs = {}
         for key, value in micro_raw.items():
+            kind = int if key == "n_atoms" else complex if key in _COMPLEX_MICRO_KEYS else float
             try:
-                kwargs[key] = int(value) if key == "n_atoms" else complex(value)
+                kwargs[key] = kind(value)
             except ValueError as exc:
                 raise ConfigError(f"bad value for micro.{key}: {exc}") from None
-        for key in ("delta_r", "delta_s", "omega_1", "omega_1_prime",
-                    "kappa_a", "kappa_b", "delta_a_raw", "delta_b_raw"):
-            if key in kwargs:
-                kwargs[key] = kwargs[key].real
         micro = MicroscopicParams(**kwargs)
         eff = effective_params(micro)
         gamma_idx = _MODEL_BUILDERS[model]

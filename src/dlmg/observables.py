@@ -103,49 +103,46 @@ def _c_phi_from_moments(m: dict, n: int, phi):
 
 def entanglement_curve(rho: np.ndarray, algebra: DickeAlgebra, n_phi: int = 720,
                        moments: dict | None = None) -> EntanglementResult:
-    """C_phi over a phi grid plus the rescaled concurrence.
+    """C_phi over a phi grid, its exact optimum phi*, and the rescaled concurrence.
 
-    C_phi is evaluated on the whole grid at once.  The optimum phi is located
-    on the (pi-periodic) coarse grid and polished by golden-section search to
-    1e-6.  ``moments``, if given, are ``_second_moments(rho, algebra)``,
-    already read by the caller.
+    C_phi is evaluated on the whole grid at once; phi* comes from the closed
+    form of :func:`_witness_peak`, not from the grid.  ``moments``, if given,
+    are ``_second_moments(rho, algebra)``, already read by the caller.
     """
     if moments is None:
         moments = _second_moments(rho, algebra)
     n = algebra.n_spins
     phis = np.linspace(0.0, np.pi, n_phi, endpoint=False)
     curve = _c_phi_from_moments(moments, n, phis)
-
-    i_best = int(np.argmax(curve))
-    phi_star = float(phis[i_best])
-    span = np.pi / n_phi
-    phi_star = _golden_max(
-        lambda p: _c_phi_from_moments(moments, n, p),
-        phi_star - span,
-        phi_star + span,
-        tol=1e-6,
-    )
-
     c_r = _rescaled_concurrence_from_moments(moments, n)
-    return EntanglementResult(phi_grid=phis, c_phi=curve, c_r=c_r, phi_star=phi_star)
+    return EntanglementResult(phi_grid=phis, c_phi=curve, c_r=c_r,
+                              phi_star=_witness_peak(moments, n))
 
 
-def _golden_max(fun, lo: float, hi: float, tol: float) -> float:
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while abs(b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
+def _witness_peak(m: dict, n: int) -> float:
+    """The angle phi* in [0, pi] where C_phi of the moments ``m`` peaks.
+
+    C_phi is a quadratic form in (sin phi, cos phi),
+
+        C_phi = 1 + p sin^2 phi + q cos^2 phi + t sin phi cos phi
+              = 1 + (p + q)/2 + (q - p)/2 cos 2phi + t/2 sin 2phi,
+
+    with k = 4/N - 4/N^2, p = k <Jx>^2 - 4 <Jx^2>/N, q = k <Jy>^2 - 4 <Jy^2>/N
+    and t = 2 k <Jx><Jy> - 4 <JxJy + JyJx>/N, so phi* = atan2(t, q - p) / 2.
+    Where <Jx> = <Jy> = 0 this is -arg<J+^2> / 2, the finite-N form of the
+    HP optimum of :func:`hp_entanglement`.
+    """
+    k = 4.0 / n - 4.0 / n**2
+    p = k * m["jx"] * m["jx"] - 4.0 * m["jx2"] / n
+    q = k * m["jy"] * m["jy"] - 4.0 * m["jy2"] / n
+    t = 2.0 * k * m["jx"] * m["jy"] - 4.0 * m["jxjy_sym"] / n
+    return _peak_angle(q - p, t)
+
+
+def _peak_angle(cos2: float, sin2: float) -> float:
+    """The phi in [0, pi] maximizing cos2 cos(2 phi) + sin2 sin(2 phi); 0 if both vanish."""
+    # + 0.0 turns -0.0 into 0.0, so that a flat curve gives atan2(0, 0) = 0.
+    return float(0.5 * np.arctan2(sin2 + 0.0, cos2 + 0.0) % np.pi)
 
 
 def rescaled_concurrence(rho: np.ndarray, algebra: DickeAlgebra) -> float:
@@ -192,9 +189,8 @@ def hp_entanglement(s: MomentState, n_phi: int = 720) -> EntanglementResult:
     e = 2.0 * n
     f = root + m_abs
     c_r = 2.0 * max(0.0, c1) if e < f else 2.0 * max(0.0, c2)
-    phi_star = float(phis[int(np.argmax(curve))]) if m_abs == 0 else float(
-        (-np.angle(s.m) / 2.0) % np.pi
-    )
+    # C_phi = 2 Re m cos 2phi - 2 Im m sin 2phi - 2 n peaks at phi* = -arg(m) / 2.
+    phi_star = _peak_angle(s.m.real, -s.m.imag)
     return EntanglementResult(phi_grid=phis, c_phi=curve, c_r=c_r, phi_star=phi_star)
 
 

@@ -91,13 +91,15 @@ class SpectrumResult:
 
 def lambda_a_for_coupling(lam: float, kappa_a: float, delta_a: float) -> float:
     """Cavity coupling lambda_a that realizes spin coupling lam = 2 Lambda_a."""
-    if lam * delta_a < 0:
-        raise ValueError("lam and delta_a must have the same sign")
+    if delta_a == 0 or lam * delta_a < 0:
+        raise ValueError("delta_a must be nonzero and of the sign of lam")
     return float(np.sqrt(lam * (kappa_a**2 + delta_a**2) / (2.0 * delta_a)))
 
 
 def lambda_b_for_rate(gamma_b: float, kappa_b: float, delta_b: float) -> float:
     """Cavity coupling lambda_b that realizes collective decay rate gamma_b."""
+    if kappa_b <= 0 or gamma_b < 0:
+        raise ValueError("lambda_b requires kappa_b > 0 and gamma_b >= 0")
     return float(np.sqrt(gamma_b * (kappa_b**2 + delta_b**2) / kappa_b))
 
 

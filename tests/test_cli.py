@@ -165,6 +165,17 @@ def test_exit_code_one_on_unknown_key(tmp_path, capsys):
     ("steady", {**FAST_STEADY, "sweep.stop": "inf"}),
     ("spectrum", {**TINY_RUNS["spectrum"], "spectrum.kappa_a": "nan"}),
     ("spectrum", {**TINY_RUNS["spectrum"], "spectrum.values": "0.5,nan"}),
+    ("steady", {**FAST_STEADY, "sweep.start": "-0.4"}),
+    ("dynamics", {**TINY_RUNS["dynamics"], "sweep.start": "-0.5", "outputs": "hp"}),
+    ("spectrum", {**TINY_RUNS["spectrum"], "spectrum.values": "-0.3,0.6",
+                  "spectrum.delta_a": "-15"}),
+    ("spectrum", {**TINY_RUNS["spectrum"], "spectrum.kappa_a": "0"}),
+    ("spectrum", {**TINY_RUNS["spectrum"], "spectrum.delta_a": "0"}),
+    ("spectrum", {**TINY_RUNS["spectrum"], "spectrum.kappa_b": "0"}),
+    ("spectrum", {**TINY_RUNS["spectrum"], "spectrum.delta_a": "-15"}),
+    ("spectrum", {**TINY_RUNS["spectrum"], "spectrum.gamma_b": "-0.1"}),
+    ("steady", {**FAST_STEADY, "micro.kappa_a": "0.5+3j"}),
+    ("steady", {**FAST_STEADY, "sweep.singular_offset": "1e-6"}),
 ], ids=["isotropic", "conventional", "spectrum-variable", "qfunc-variable",
         "dynamics-key", "spectrum-key", "outputs-name", "spectrum-number", "qfunc-n-list",
         "dynamics-initial-m", "spectrum-gamma-a", "spectrum-gamma-b", "spectrum-n-atoms",
@@ -172,7 +183,11 @@ def test_exit_code_one_on_unknown_key(tmp_path, capsys):
         "dynamics-no-times", "dynamics-zero-t-end", "dynamics-negative-t-end",
         "qfunc-no-theta", "qfunc-negative-phi", "spectrum-no-nu", "spectrum-repeated-value",
         "qfunc-repeated-value", "steady-nan-gamma-a", "steady-nan-h", "steady-inf-gamma-b",
-        "steady-inf-sweep-stop", "spectrum-nan-kappa-a", "spectrum-nan-value"])
+        "steady-inf-sweep-stop", "spectrum-nan-kappa-a", "spectrum-nan-value",
+        "steady-negative-lambda", "dynamics-hp-negative-lambda", "spectrum-negative-lambda",
+        "spectrum-zero-kappa-a", "spectrum-zero-delta-a", "spectrum-zero-kappa-b",
+        "spectrum-negative-delta-a", "spectrum-negative-gamma-b", "steady-complex-micro-kappa-a",
+        "steady-singular-offset"])
 def test_rejected_config_exits_one_and_writes_nothing(tmp_path, capsys, command, cfg):
     out = tmp_path / "out"
     rc = cli.main([command, "--config", str(write_config(tmp_path, cfg)), "--jobs", "1",
@@ -189,7 +204,7 @@ def test_single_point_grids_are_planned():
     cfg = {**TINY_RUNS["qfunc"], "qfunc.n_theta": "1", "qfunc.n_phi": "1"}
     assert [len(grid) for grid in cli._plan("qfunc", cfg).tasks[0][1:]] == [1, 1]
     cfg = {**TINY_RUNS["spectrum"], "spectrum.nu_points": "1"}
-    assert len(cli._plan("spectrum", cfg).tasks[0][2]) == 1
+    assert len(cli._plan("spectrum", cfg).tasks[0][1]) == 1
 
 
 def test_dynamics_without_dissipation_is_planned():
@@ -197,6 +212,17 @@ def test_dynamics_without_dissipation_is_planned():
     # state needs a dissipator.
     cfg = {k: v for k, v in TINY_RUNS["dynamics"].items() if not k.startswith("gamma")}
     assert len(cli._plan("dynamics", cfg).tasks) == 3
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("dynamics", {**TINY_RUNS["dynamics"], "sweep.start": "-0.5", "dynamics.t_points": "2"}),
+    ("qfunc", {**TINY_RUNS["qfunc"], "qfunc.values": "-0.5,0.5"}),
+], ids=["dynamics", "qfunc"])
+def test_negative_lambda_runs_where_no_mean_field_is_read(tmp_path, command, cfg):
+    # Only the mean-field branch needs lambda >= 0; the finite-N solves take any lambda.
+    rc = cli.main([command, "--config", str(write_config(tmp_path, cfg)), "--jobs", "1",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
 
 
 def test_spectrum_gamma_b_error_names_the_cavity_key(tmp_path, capsys):

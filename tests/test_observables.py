@@ -156,7 +156,50 @@ def test_concurrence_equals_optimal_witness_on_steady_states():
         alg = build_algebra(n)
         res = entanglement_curve(rho, alg)
         best = max(0.0, res.c_phi.max(), c_phi(rho, alg, res.phi_star))
-        assert res.c_r == pytest.approx(best, abs=1e-3)
+        assert res.c_r == pytest.approx(best, abs=1e-12)
+
+
+def test_optimal_angle_is_the_top_eigenvector_of_the_witness_form():
+    # C_phi = 1 + v^T M v with v = (sin phi, cos phi) and M = [[p, t/2], [t/2, q]],
+    # so phi* points along M's top eigenvector.  Random states have <Jx>, <Jy> != 0;
+    # the model's steady states have <Jx> = <Jy> = 0.
+    rng = np.random.default_rng(31)
+    states = []
+    for _ in range(60):
+        n, rank = int(rng.integers(2, 30)), int(rng.integers(1, 4))
+        a = rng.normal(size=(n + 1, rank)) + 1j * rng.normal(size=(n + 1, rank))
+        rho = a @ a.conj().T
+        states.append((n, rho / np.trace(rho).real))
+    states += [(n, model_steady(n, 1.0, lam, 0.01, 0.2))
+               for n, lam in ((10, 0.6), (25, 1.2), (40, 1.5), (40, 0.95))]
+    dense = np.linspace(0.0, np.pi, 200_001)
+    resolved = 0
+    for i, (n, rho) in enumerate(states):
+        m = _second_moments(rho, build_algebra(n))
+        if i < 60:
+            assert min(abs(m["jx"]), abs(m["jy"])) > 1e-6
+        phi_star = entanglement_curve(rho, build_algebra(n), moments=m).phi_star
+        assert 0.0 <= phi_star <= np.pi
+        k = 4.0 / n - 4.0 / n**2
+        p = k * m["jx"] ** 2 - 4.0 * m["jx2"] / n
+        q = k * m["jy"] ** 2 - 4.0 * m["jy2"] / n
+        t = 2.0 * k * m["jx"] * m["jy"] - 4.0 * m["jxjy_sym"] / n
+        evals, evecs = np.linalg.eigh([[p, t / 2.0], [t / 2.0, q]])
+        if evals[1] - evals[0] > 1e-6:
+            off = (phi_star - np.arctan2(*evecs[:, 1])) % np.pi
+            assert min(off, np.pi - off) < 1e-9
+            resolved += 1
+        peak = _c_phi_from_moments(m, n, phi_star)
+        assert peak >= _c_phi_from_moments(m, n, dense).max() - 1e-14
+    assert resolved >= len(states) - 2
+
+
+def test_optimal_angle_of_a_flat_witness_is_zero():
+    # The maximally mixed state has C_phi independent of phi.
+    for n in (2, 7):
+        rho = np.eye(n + 1) / (n + 1)
+        assert entanglement_curve(rho, build_algebra(n)).phi_star == 0.0
+    assert hp_entanglement(MomentState(n=0.3, m=0.0)).phi_star == 0.0
 
 
 def test_entanglement_curve_equals_the_scalar_witness_at_every_angle():
