@@ -31,7 +31,7 @@ HP moments at a critical point are taken lambda +- ``SINGULAR_OFFSET`` away.
 
 Only ``steady``, ``dynamics`` and ``qfunc`` import the finite-N engine
 (``operators``, ``lindblad``, ``observables``: scipy.sparse and scipy.linalg,
-about 0.4 s; ``qfunc`` also scipy.special).  They load it in the main process
+about 0.4 s).  They load it in the main process
 while planning, so a forked worker pool inherits it; each point function
 imports the names it uses, so a spawned worker loads it once itself.
 ``import dlmg.cli`` and the ``spectrum`` command, whose 6x6 linear-response
@@ -348,9 +348,6 @@ def _plan_spectrum(cli_cfg, model_cfg, variable, outputs) -> _Plan:
 
 
 def _plan_qfunc(cli_cfg, model_cfg, variable, outputs) -> _Plan:
-    # scipy.special gives the Q-function its coherent-state amplitudes.
-    import scipy.special  # noqa: F401
-
     from . import lindblad, observables, operators  # noqa: F401
     values = _value_list(cli_cfg, "qfunc.values")
     n_atoms, *rest = _n_atoms_list(model_cfg)
@@ -429,11 +426,12 @@ def _hp_steady(params: LMGParams, fp):
 
 def _hp_dynamics_curve(params: LMGParams, times) -> list:
     """C_R^HP(t) from vacuum initial moments about the selected branch."""
-    from .observables import hp_entanglement
+    from .observables import _hp_rescaled_concurrence
 
     def curve(trial):
         coeffs = hp_coefficients(trial, selected_branch(trial))
-        return [hp_entanglement(s).c_r for s in evolve_moments(coeffs, MomentState(n=0.0, m=0.0), times)]
+        return [_hp_rescaled_concurrence(s)
+                for s in evolve_moments(coeffs, MomentState(n=0.0, m=0.0), times)]
 
     result = _offset_retry(params, curve)
     if result is None:
@@ -462,7 +460,13 @@ def _steady_rho(params: LMGParams, algebra):
 
 
 def _steady_point(task):
-    from .observables import _second_moments, entanglement_curve, hp_entanglement
+    from .observables import (
+        _hp_rescaled_concurrence,
+        _rescaled_concurrence_from_moments,
+        _second_moments,
+        _witness_peak,
+        entanglement_curve,
+    )
     from .operators import build_algebra
 
     params, value, outputs, columns = task
@@ -482,11 +486,11 @@ def _steady_point(task):
     if outputs & {"entanglement", "cphi", "eigenvalues"}:
         moments = _hp_steady(params, fp_sel)
     if outputs & {"entanglement", "cphi"}:
-        ent = entanglement_curve(rho, algebra, moments=spin)
-        row["c_r"] = ent.c_r
-        row["phi_star"] = ent.phi_star
-        row["c_r_hp"] = np.nan if moments is None else hp_entanglement(moments).c_r
+        row["c_r"] = _rescaled_concurrence_from_moments(spin, algebra.n_spins)
+        row["phi_star"] = _witness_peak(spin, algebra.n_spins)
+        row["c_r_hp"] = np.nan if moments is None else _hp_rescaled_concurrence(moments)
         if "cphi" in outputs:
+            ent = entanglement_curve(rho, algebra, moments=spin)
             rows["cphi"] = np.column_stack(
                 [np.full(len(ent.phi_grid), value), ent.phi_grid, ent.c_phi])
     if "eigenvalues" in outputs:

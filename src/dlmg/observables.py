@@ -15,13 +15,15 @@ m = <c^2>; fourth moments reduce by Wick factorization,
 <(c+c)^2> = 2 n^2 + |m|^2 + n.
 
 The spin Q-function is the overlap of the state with spin coherent states
-|theta, phi>, evaluated in the log domain so binomials at N ~ 100 cannot
-overflow.
+|theta, phi>.  The coherent-state magnitudes are evaluated in the log domain
+from exact integer binomials, so large N cannot overflow, and the overlap is
+summed over the coherence diagonals of the state.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,7 +181,14 @@ def hp_c_phi(s: MomentState, phi) -> np.ndarray:
 def hp_entanglement(s: MomentState, n_phi: int = 720) -> EntanglementResult:
     """HP C_phi curve and rescaled concurrence from Gaussian moments."""
     phis = np.linspace(0.0, np.pi, n_phi, endpoint=False)
-    curve = hp_c_phi(s, phis)
+    # C_phi = 2 Re m cos 2phi - 2 Im m sin 2phi - 2 n peaks at phi* = -arg(m) / 2.
+    phi_star = _peak_angle(s.m.real, -s.m.imag)
+    return EntanglementResult(phi_grid=phis, c_phi=hp_c_phi(s, phis),
+                              c_r=_hp_rescaled_concurrence(s), phi_star=phi_star)
+
+
+def _hp_rescaled_concurrence(s: MomentState) -> float:
+    """HP rescaled concurrence C_R from the Gaussian moments alone."""
     n, m_abs = s.n, abs(s.m)
     # Wick closure for the fourth moment: <(c+c)^2> = 2 n^2 + |m|^2 + n.
     quart = 2.0 * n**2 + m_abs**2 + n
@@ -188,10 +197,7 @@ def hp_entanglement(s: MomentState, n_phi: int = 720) -> EntanglementResult:
     c2 = n - root
     e = 2.0 * n
     f = root + m_abs
-    c_r = 2.0 * max(0.0, c1) if e < f else 2.0 * max(0.0, c2)
-    # C_phi = 2 Re m cos 2phi - 2 Im m sin 2phi - 2 n peaks at phi* = -arg(m) / 2.
-    phi_star = _peak_angle(s.m.real, -s.m.imag)
-    return EntanglementResult(phi_grid=phis, c_phi=curve, c_r=c_r, phi_star=phi_star)
+    return 2.0 * max(0.0, c1) if e < f else 2.0 * max(0.0, c2)
 
 
 # -- spin Q-function -----------------------------------------------------------
@@ -205,14 +211,14 @@ def _coherent_magnitudes(n: int, thetas: np.ndarray) -> np.ndarray:
 
         sqrt(binom(N, k)) cos(theta/2)^(N-k) sin(theta/2)^k e^{i k phi},
 
-    evaluated via log-gamma so N ~ 100 cannot overflow.  Basis index i has
-    m = j - i, i.e. k = i directly.  The phase e^{i k phi} is left out.
+    evaluated in the log domain so large N cannot overflow; log binom(N, k)
+    is the logarithm of the exact integer binomial, rounded once.  Basis
+    index i has m = j - i, i.e. k = i directly.  The phase e^{i k phi} is
+    left out.
     """
-    from scipy.special import gammaln
-
     k = np.arange(n + 1)  # flips off the all-up state; equals the basis index
     half = 0.5 * np.asarray(thetas, dtype=float)[:, None]
-    log_binom = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    log_binom = np.array([math.log(math.comb(n, i)) for i in range(n + 1)])
     with np.errstate(divide="ignore", invalid="ignore"):
         log_c = np.log(np.abs(np.cos(half)))
         log_s = np.log(np.abs(np.sin(half)))
@@ -235,10 +241,15 @@ def spin_qfunction(
 ) -> QFunctionGrid:
     """Husimi-style overlap <theta,phi| rho |theta,phi> on the given angle grids.
 
-    The magnitudes are built once for all theta and the phases e^{i k phi}
-    once for all phi; each theta row is then one product over the phi grid,
-    Q = Re sum_i conj(V)_pi (V rho^T)_pi with V = magnitudes * phases, so
-    the transient memory is one (n_phi, N+1) block.  Any grids work,
+    With a_k(theta) the magnitudes of :func:`_coherent_magnitudes` and H the
+    Hermitian part of rho (whose overlap it is), the overlap is a Fourier
+    sum over the coherence diagonals d = 0..N,
+
+        Q(theta, phi) = Re sum_d w_d c_d(theta) e^{i d phi},
+        c_d(theta) = sum_k a_k a_{k+d} H_{k,k+d},  w_0 = 1, w_{d>0} = 2,
+
+    so one pass over the diagonals gives every c_d, and one
+    (n_theta, N+1) x (N+1, n_phi) product gives the grid.  Any grids work,
     including non-uniform ones and the poles.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
@@ -246,12 +257,14 @@ def spin_qfunction(
     if thetas.size == 0 or phis.size == 0:
         raise ValueError("angle grids must be nonempty")
     n = algebra.n_spins
-    phases = np.exp(1j * np.outer(phis, np.arange(n + 1)))
-    rho_t = np.asarray(rho).T
-    values = np.empty((len(thetas), len(phis)))
-    for i, mags in enumerate(_coherent_magnitudes(n, thetas)):
-        vecs = mags * phases
-        values[i] = np.sum(vecs.conj() * (vecs @ rho_t), axis=1).real
+    rho = np.asarray(rho)
+    herm = 0.5 * (rho + rho.conj().T)
+    mags = _coherent_magnitudes(n, thetas)
+    coeffs = np.empty((len(thetas), n + 1), dtype=complex)
+    for d in range(n + 1):
+        coeffs[:, d] = (mags[:, : n + 1 - d] * mags[:, d:]) @ np.diagonal(herm, d)
+    coeffs[:, 1:] *= 2.0
+    values = (coeffs @ np.exp(1j * np.outer(np.arange(n + 1), phis))).real
     return QFunctionGrid(thetas=thetas, phis=phis, values=values)
 
 

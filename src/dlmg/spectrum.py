@@ -25,6 +25,14 @@ transmitted amplitude is the intracavity leakage sqrt(2 kappa_b) <b>, and the
 intensity is normalized so an empty (atom-decoupled) cavity peaks at exactly
 one at nu = delta_b.
 
+A nu whose matrix X = -i nu - M has condition number above
+``DIVERGENT_COND`` is flagged diverged and answered by least squares.  One
+batched inverse certifies most nu without an SVD: cond_2(X) <= ||X||_F
+||X^-1||_F, and a bound at most DIVERGENT_COND / 1e3 leaves room for the
+error of the computed inverse.  Only the other nu get a condition number
+(all of them if some X is exactly singular), so the flags and intensities
+are those of an SVD at every nu.
+
 The approximate closed form, valid in the normal phase for
 |nu| << delta_a, kappa_b:
 
@@ -209,8 +217,10 @@ def transmission(sys: LinearSystem, nu_grid=None) -> SpectrumResult:
 
     mats = -1j * nu_grid[:, None, None] * np.eye(6) - drift_matrix(sys)
     try:
-        cond = np.linalg.cond(mats)
-        diverged = ~np.isfinite(cond) | (cond > DIVERGENT_COND)
+        diverged = _uncertified(mats)
+        if diverged.any():
+            cond = np.linalg.cond(mats[diverged])
+            diverged[diverged] = ~np.isfinite(cond) | (cond > DIVERGENT_COND)
         sols = np.empty((len(nu_grid), 6), dtype=complex)
         sols[~diverged] = np.linalg.solve(mats[~diverged], rhs)
         for i in np.flatnonzero(diverged):
@@ -222,6 +232,23 @@ def transmission(sys: LinearSystem, nu_grid=None) -> SpectrumResult:
     # |sqrt(2 kb) * sqrt(2 kb) / kb|^2 = 4.
     t_p = np.abs(np.sqrt(2.0 * kb) * sols[:, 2]) ** 2 / 4.0
     return SpectrumResult(nu=nu_grid, t_p=t_p, diverged=diverged)
+
+
+def _uncertified(mats: np.ndarray) -> np.ndarray:
+    """Mask of the matrices not certified well conditioned by one batched inverse.
+
+    cond_2(X) <= ||X||_F ||X^-1||_F; a bound at most DIVERGENT_COND / 1e3
+    certifies X, the margin absorbing the error of the computed inverse.  If
+    some X is exactly singular, no matrix is certified.
+    """
+    try:
+        inv = np.linalg.inv(mats)
+    except np.linalg.LinAlgError:
+        return np.ones(len(mats), dtype=bool)
+    # At huge nu the norms overflow; an inf or nan bound leaves X uncertified.
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.linalg.norm(mats, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
+    return ~(bound <= DIVERGENT_COND / 1e3)
 
 
 def _solve_point(mat: np.ndarray, rhs: np.ndarray):

@@ -447,7 +447,7 @@ def test_jobs_one_and_two_give_byte_identical_csv(tmp_path):
 
 # scipy subpackages that cost a fresh interpreter about 0.4 s together.  The
 # spectrum command needs none of them; steady, dynamics and qfunc load the
-# sparse engine when they plan their run.
+# sparse engine (scipy.sparse and scipy.linalg) when they plan their run.
 _HEAVY_SCIPY = ("scipy.sparse", "scipy.linalg", "scipy.special", "scipy.integrate",
                 "scipy.optimize")
 
@@ -476,15 +476,25 @@ def test_spectrum_run_leaves_scipy_subpackages_unloaded(tmp_path):
     assert len(list((tmp_path / "out").glob("spectrum_*.csv"))) == 3
 
 
+def test_qfunc_run_loads_the_sparse_engine_alone(tmp_path):
+    # The coherent-state amplitudes take exact integer binomials, not scipy.special.
+    cfg = write_config(tmp_path, TINY_RUNS["qfunc"])
+    run = (f"from dlmg import cli\n"
+           f"assert cli.main(['qfunc', '--config', {str(cfg)!r}, '--jobs', '1', "
+           f"'--out', {str(tmp_path / 'out')!r}]) == 0")
+    assert _loaded_heavy_scipy(run) == ["scipy.sparse", "scipy.linalg"]
+    assert len(list((tmp_path / "out").glob("qfunc_*.csv"))) == 2
+
+
 @pytest.mark.parametrize("command", ["steady", "dynamics", "qfunc"])
 def test_engine_commands_load_the_engine_when_planning(tmp_path, command):
     # Loaded in the main process before the pool forks, so no worker imports it again.
     cfg = write_config(tmp_path, TINY_RUNS[command])
     plan = f"from dlmg import cli\ncli._plan({command!r}, cli.parse_config_text(open({str(cfg)!r}).read()))"
-    engine = {"scipy.sparse", "scipy.linalg"}
-    if command == "qfunc":  # for the coherent-state amplitudes of the Q-function
-        engine.add("scipy.special")
-    assert engine <= set(_loaded_heavy_scipy(plan))
+    loaded = set(_loaded_heavy_scipy(plan))
+    assert {"scipy.sparse", "scipy.linalg"} <= loaded
+    if command == "qfunc":  # exact binomials give the coherent-state amplitudes
+        assert "scipy.special" not in loaded
 
 
 @pytest.mark.parametrize("command", ["steady", "dynamics", "qfunc"])

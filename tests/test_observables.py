@@ -1,5 +1,8 @@
 """Entanglement witnesses, rescaled concurrence, HP analogues, Q-function."""
 
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from dlmg.lindblad import steady_state
 from dlmg.models import LMGParams, build_gamma0
 from dlmg.observables import (
     _c_phi_from_moments,
+    _coherent_magnitudes,
     _coherent_state,
     _second_moments,
     c_phi,
@@ -454,3 +458,21 @@ def test_coherent_state_is_top_eigenstate_along_its_axis():
         axis = np.sin(th) * np.cos(ph) * jx + np.sin(th) * np.sin(ph) * jy + np.cos(th) * jz
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-14)
         assert np.max(np.abs(axis @ psi - 0.5 * n * psi)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 50, 400])
+def test_coherent_magnitudes_match_an_exact_reference(n):
+    # Reference: sqrt(binom(N, k) c^(2(N-k)) s^(2k)) in 60-digit decimals,
+    # from the same rounded c = cos(theta/2), s = sin(theta/2).  The
+    # log-domain error grows like N ulps; log-gamma binomials miss the bound.
+    thetas = np.concatenate([np.linspace(0.0, np.pi, 13), [0.3, 1.0, 2.5]])
+    got = _coherent_magnitudes(n, thetas)
+    ref = np.empty_like(got)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for i, half in enumerate(0.5 * thetas):
+            c, s = Decimal(float(np.cos(half))), Decimal(float(np.sin(half)))
+            for k in range(n + 1):
+                power = (c ** (2 * (n - k)) if k < n else 1) * (s ** (2 * k) if k else 1)
+                ref[i, k] = float((math.comb(n, k) * power).sqrt())
+    assert np.max(np.abs(got - ref)) <= 4e-17 * (n + 1)

@@ -268,3 +268,84 @@ def test_transmission_per_point_fallback_on_lapack_failure(monkeypatch):
     assert np.array_equal(fallback.diverged, batched.diverged)
     assert fallback.diverged.any()
     assert np.allclose(fallback.t_p, batched.t_p, rtol=1e-12, atol=0.0)
+
+
+def _cond_rows(monkeypatch) -> list:
+    """Spy on np.linalg.cond: the number of matrices each call receives."""
+    rows, real_cond = [], np.linalg.cond
+
+    def cond(mat, *args):
+        rows.append(len(mat) if np.ndim(mat) > 2 else 1)
+        return real_cond(mat, *args)
+
+    monkeypatch.setattr(np.linalg, "cond", cond)
+    return rows
+
+
+def test_certified_points_skip_the_condition_number(monkeypatch):
+    # Far from the transition every nu is certified by the inverse's bound,
+    # so no SVD runs, and the flags still match the per-point rule.
+    params, cavity = fig_cavity(lam=0.6)
+    sysm = linear_system(params, cavity, rotation_angles(selected_branch(params)))
+    nu = default_nu_grid(-3, 3, 3001)
+    t_p, diverged = per_point_transmission(sysm, nu)
+    rows = _cond_rows(monkeypatch)
+    res = transmission(sysm, nu)
+    assert sum(rows) == 0
+    assert not diverged.any()
+    assert np.array_equal(res.diverged, diverged)
+    mats = -1j * nu[:, None, None] * np.eye(6) - drift_matrix(sysm)
+    rhs = np.zeros(6, dtype=complex)
+    rhs[2] = np.sqrt(2.0 * cavity.kappa_b)
+    solved = np.abs(rhs[2] * np.linalg.solve(mats, rhs)[:, 2]) ** 2 / 4.0
+    assert np.array_equal(res.t_p, solved)
+    assert np.allclose(res.t_p, t_p, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("lam", [0.6, 1.000625])
+def test_failed_inverse_sends_every_point_to_the_condition_numbers(monkeypatch, lam):
+    # Without the certificate every nu takes the SVD path, with the same bits.
+    params, cavity = fig_cavity(lam=lam)
+    sysm = linear_system(params, cavity, rotation_angles(selected_branch(params)))
+    nu = default_nu_grid(-3, 3, 301)
+    certified = transmission(sysm, nu)
+
+    def inv(mats):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    rows = _cond_rows(monkeypatch)
+    svd = transmission(sysm, nu)
+    assert rows == [len(nu)]
+    assert svd.diverged.any() == (lam == 1.000625)
+    assert np.array_equal(svd.diverged, certified.diverged)
+    assert np.array_equal(svd.t_p, certified.t_p)
+
+
+def test_exactly_singular_point_is_flagged_and_the_rest_solved():
+    # Decoupled cavity: the spin row of X = -i nu - M vanishes at nu = delta_c,
+    # so the batched inverse raises and the flags come from the SVD alone.
+    params, cavity = fig_cavity(lam=0.3)
+    sysm = linear_system(params, decoupled(cavity), RotationAngles(0.0, 0.0))
+    nu = np.array([-1.0, 0.0, sysm.delta_c, 2.5])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(-1j * nu[:, None, None] * np.eye(6) - drift_matrix(sysm))
+    res = transmission(sysm, nu)
+    t_p, diverged = per_point_transmission(sysm, nu)
+    assert diverged.tolist() == [False, False, True, False]
+    assert np.array_equal(res.diverged, diverged)
+    assert np.allclose(res.t_p, t_p, rtol=1e-12, atol=0.0)
+
+
+def test_huge_probe_frequencies_take_the_condition_numbers(monkeypatch):
+    # ||X||_F overflows at nu ~ 1e160 and beyond: such points are not
+    # certified, raise no warning, and keep the SVD path's answer.
+    params, cavity = fig_cavity(lam=0.6)
+    sysm = linear_system(params, cavity, rotation_angles(selected_branch(params)))
+    nu = np.array([1e200, -1e170, 1e160, 0.0, 1.0])
+    rows = _cond_rows(monkeypatch)
+    res = transmission(sysm, nu)
+    assert rows == [3]
+    t_p, diverged = per_point_transmission(sysm, nu)
+    assert np.array_equal(res.diverged, diverged)
+    assert np.allclose(res.t_p, t_p, rtol=1e-12, atol=0.0)
