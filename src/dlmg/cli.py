@@ -68,9 +68,12 @@ with ``NonUniqueSteadyStateError``, and a point whose state misses the
 residual tolerance on the whole ladder fails with its residual.  A point
 that raises is recorded with its error (and the residual, if the error
 carries one) and left out of the CSV files, and the run goes on.  Exit code
-0 means full success, 2 that some points failed, 1 a configuration error or
-an output error (an ``OSError`` creating or writing ``--out``).  The env var
-``DLMG_LOG`` (debug/info/warning/error) selects log verbosity.
+0 means full success, 2 that some points failed, 1 a usage error (an
+unknown command or flag, or a flag value of the wrong type; the usage and
+the message go to stderr), a configuration error (``--jobs`` below 1
+included) or an output error (an ``OSError`` creating or writing
+``--out``).  The env var ``DLMG_LOG`` (debug/info/warning/error) selects log
+verbosity.
 """
 
 from __future__ import annotations
@@ -667,8 +670,16 @@ def _write_rows(path, header, columns, blocks):
                                        for cell in row) + "\n" for row in block)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on a config error (argparse's 2 means failed points here)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dlmg",
         description="Dissipative collective-spin model sweeps: steady states, dynamics, spectra, Q-functions.",
     )
@@ -687,6 +698,8 @@ def main(argv=None) -> int:
 
     started = time.perf_counter()
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         plan = _plan(args.command, _merged_config(args))
     except ValueError as exc:  # ConfigError, and the range checks of the parameter classes
         print(f"config error: {exc}", file=sys.stderr)

@@ -38,7 +38,7 @@ from .semiclassical import (
     BROKEN_PLUS,
     NORMAL,
     FixedPoint,
-    _lambda_big,
+    _linear_spectrum,
     lambda_critical,
 )
 
@@ -145,29 +145,22 @@ def eigenvalues(params: LMGParams, phase: str) -> EigenPair:
     Evaluated with the principal branch of the complex square root, so the
     labels mu_plus / mu_minus follow the +/- of the closed forms: in the
     normal phase above lambda' = h the root turns imaginary and mu_minus is
-    the slow (critical) eigenvalue.
+    the slow (critical) eigenvalue.  They are the spectrum of the mean-field
+    flow linearized at the phase's fixed point, the one that labels its
+    stability in :func:`semiclassical.fixed_points`.
     """
-    h, lam, gb = params.h, params.lam, params.Gamma_b
+    h, gb = params.h, params.Gamma_b
     validated = not (h > 0 and gb > np.sqrt(2.0) * h * np.sqrt(1.0 + np.sqrt(5.0)))
     if phase == PHASE_NORMAL:
-        root = 2j * np.emath.sqrt(h * (h - lam))
-        return EigenPair(
-            mu_plus=complex(-gb + root),
-            mu_minus=complex(-gb - root),
-            regime_validated=validated,
-        )
-    if phase == PHASE_BROKEN:
-        if lam < gb:
+        branch = NORMAL
+    elif phase == PHASE_BROKEN:
+        if params.lam < gb:
             raise ValueError("broken phase requires lam >= Gamma_b")
-        big = _lambda_big(lam, gb)
-        root = np.emath.sqrt(2.0 * (2.0 * h**2 + gb**2 - lam * big))
-        base = -2.0 * gb * h / big
-        return EigenPair(
-            mu_plus=complex(base + root),
-            mu_minus=complex(base - root),
-            regime_validated=validated,
-        )
-    raise ValueError(f"phase must be 'normal' or 'broken', got {phase!r}")
+        branch = BROKEN_PLUS
+    else:
+        raise ValueError(f"phase must be 'normal' or 'broken', got {phase!r}")
+    mu_plus, mu_minus = _linear_spectrum(params, branch)
+    return EigenPair(mu_plus=mu_plus, mu_minus=mu_minus, regime_validated=validated)
 
 
 def first_moment_matrix(coeffs: HPCoefficients) -> np.ndarray:

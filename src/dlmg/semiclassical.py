@@ -17,6 +17,15 @@ Varying h at fixed lam instead, the broken pair exists for
 h_c < h < (lam + sqrt(lam^2 - Gamma_b^2)) / 2 with
 h_c = (lam - sqrt(lam^2 - Gamma_b^2)) / 2, and the window 0 < h < h_c is
 bistable; the normal branch is the selected one there.
+
+A fixed point is stable when both eigenvalues of the flow linearized on the
+sphere's tangent plane have real part below ``STABILITY_THRESHOLD``.  They
+are taken in closed form,
+
+    normal:  mu = -Gamma_b +- 2i sqrt(h (h - lam)),
+    broken:  mu = -2 Gamma_b h / Lam +- sqrt(2 (2h^2 + Gamma_b^2 - lam Lam)),
+
+one pair for both broken points; ``hp.eigenvalues`` returns the same pair.
 """
 
 from __future__ import annotations
@@ -84,43 +93,28 @@ def flow(params: LMGParams, s: BlochState) -> tuple:
     )
 
 
-def flow_jacobian(params: LMGParams, s: BlochState) -> np.ndarray:
-    h, lam, gb = params.h, params.lam, params.Gamma_b
-    x, y, z = s.x, s.y, s.z
-    return np.array(
-        [
-            [-gb * z, 2.0 * h, -gb * x],
-            [-2.0 * h + 2.0 * lam * z, -gb * z, 2.0 * lam * x - gb * y],
-            [-2.0 * lam * y + 2.0 * gb * x, -2.0 * lam * x + 2.0 * gb * y, 0.0],
-        ]
-    )
-
-
-def _tangent_eigenvalues(params: LMGParams, s: BlochState) -> np.ndarray:
-    """Eigenvalues of the flow Jacobian restricted to the sphere's tangent plane.
-
-    The radial direction is neutral by construction and must not pollute the
-    stability call.
-    """
-    n = s.as_array()
-    n = n / np.linalg.norm(n)
-    # Orthonormal tangent basis.
-    ref = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    t1 = np.cross(n, ref)
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(n, t1)
-    basis = np.column_stack([t1, t2])
-    jac = flow_jacobian(params, s)
-    return np.linalg.eigvals(basis.T @ jac @ basis)
-
-
-def is_stable(params: LMGParams, s: BlochState) -> bool:
-    eig = _tangent_eigenvalues(params, s)
-    return bool(np.max(eig.real) < STABILITY_THRESHOLD)
-
-
 def _lambda_big(lam: float, gamma_b: float) -> float:
     return lam + np.sqrt(lam**2 - gamma_b**2)
+
+
+def _linear_spectrum(params: LMGParams, branch: str) -> tuple:
+    """Closed-form eigenvalues (mu_plus, mu_minus) of the flow linearized at ``branch``.
+
+    Taken on the sphere's tangent plane, with the principal complex square
+    root; the broken pair shares one spectrum.
+    """
+    h, lam, gb = params.h, params.lam, params.Gamma_b
+    if branch == NORMAL:
+        root = 2j * np.emath.sqrt(h * (h - lam))
+        return complex(-gb + root), complex(-gb - root)
+    big = _lambda_big(lam, gb)
+    root = np.emath.sqrt(2.0 * (2.0 * h**2 + gb**2 - lam * big))
+    base = -2.0 * gb * h / big
+    return complex(base + root), complex(base - root)
+
+
+def _stable(params: LMGParams, branch: str) -> bool:
+    return max(mu.real for mu in _linear_spectrum(params, branch)) < STABILITY_THRESHOLD
 
 
 def fixed_points(params: LMGParams) -> list:
@@ -128,8 +122,10 @@ def fixed_points(params: LMGParams) -> list:
 
     The normal branch is always returned.  The broken pair is returned
     whenever its closed form is real: lam >= Gamma_b (real Lam),
-    Lam^2 > 4 h^2, and h != 0.  In the bistable window 0 < h < h_c both
-    families carry stable labels.
+    Lam^2 > 4 h^2, and h != 0.  A point is labelled stable when the real
+    parts of its closed-form linear spectrum lie below
+    ``STABILITY_THRESHOLD``; the broken pair shares one label.  In the
+    bistable window 0 < h < h_c both families carry stable labels.
     """
     _require_gamma0(params)
     if params.lam < 0:
@@ -138,7 +134,7 @@ def fixed_points(params: LMGParams) -> list:
 
     normal = BlochState(0.0, 0.0, 1.0)
     points = [
-        FixedPoint(state=normal, branch=NORMAL, stable=is_stable(params, normal), aux_Lambda=np.nan)
+        FixedPoint(state=normal, branch=NORMAL, stable=_stable(params, NORMAL), aux_Lambda=np.nan)
     ]
 
     if lam < gb:
@@ -151,13 +147,13 @@ def fixed_points(params: LMGParams) -> list:
     z = 2.0 * h / lam_big
     x = np.sqrt((lam_big**2 - 4.0 * h**2) / (2.0 * lam * lam_big))
     y = gb * x / lam_big
+    stable = _stable(params, BROKEN_PLUS)
     for sign, branch in ((+1.0, BROKEN_PLUS), (-1.0, BROKEN_MINUS)):
-        state = BlochState(sign * x, sign * y, z)
         points.append(
             FixedPoint(
-                state=state,
+                state=BlochState(sign * x, sign * y, z),
                 branch=branch,
-                stable=is_stable(params, state),
+                stable=stable,
                 aux_Lambda=lam_big,
             )
         )
@@ -168,20 +164,14 @@ def selected_branch(params: LMGParams) -> FixedPoint:
     """The physically selected stable branch.
 
     Normal wherever it is stable (including the bistable window 0 < h < h_c,
-    where it is the more stable solution); otherwise broken_plus.
+    where it is the more stable solution); otherwise broken_plus if it is
+    stable (broken_minus shares its spectrum), else normal.
     """
-    points = fixed_points(params)
-    by_branch = {p.branch: p for p in points}
-    normal = by_branch[NORMAL]
-    if normal.stable:
+    by_branch = {p.branch: p for p in fixed_points(params)}
+    normal, broken = by_branch[NORMAL], by_branch.get(BROKEN_PLUS)
+    if normal.stable or broken is None or not broken.stable:
         return normal
-    if BROKEN_PLUS in by_branch and by_branch[BROKEN_PLUS].stable:
-        return by_branch[BROKEN_PLUS]
-    # Fall back to whichever point is stable, else the normal branch.
-    for p in points:
-        if p.stable:
-            return p
-    return normal
+    return broken
 
 
 def normal_phase_selected(params: LMGParams) -> bool:

@@ -134,7 +134,7 @@ def test_exit_code_one_on_unknown_key(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, cfg", [
+@pytest.mark.parametrize("command, cfg, jobs", [(command, cfg, "1") for command, cfg in [
     ("steady", {**FAST_STEADY, "model": "isotropic"}),
     ("steady", {**FAST_STEADY, "model": "conventional"}),
     ("spectrum", {**TINY_RUNS["spectrum"], "sweep.variable": "gamma_a"}),
@@ -176,6 +176,9 @@ def test_exit_code_one_on_unknown_key(tmp_path, capsys):
     ("spectrum", {**TINY_RUNS["spectrum"], "spectrum.gamma_b": "-0.1"}),
     ("steady", {**FAST_STEADY, "micro.kappa_a": "0.5+3j"}),
     ("steady", {**FAST_STEADY, "sweep.singular_offset": "1e-6"}),
+]] + [
+    ("steady", FAST_STEADY, "0"),
+    ("steady", FAST_STEADY, "-2"),
 ], ids=["isotropic", "conventional", "spectrum-variable", "qfunc-variable",
         "dynamics-key", "spectrum-key", "outputs-name", "spectrum-number", "qfunc-n-list",
         "dynamics-initial-m", "spectrum-gamma-a", "spectrum-gamma-b", "spectrum-n-atoms",
@@ -187,10 +190,10 @@ def test_exit_code_one_on_unknown_key(tmp_path, capsys):
         "steady-negative-lambda", "dynamics-hp-negative-lambda", "spectrum-negative-lambda",
         "spectrum-zero-kappa-a", "spectrum-zero-delta-a", "spectrum-zero-kappa-b",
         "spectrum-negative-delta-a", "spectrum-negative-gamma-b", "steady-complex-micro-kappa-a",
-        "steady-singular-offset"])
-def test_rejected_config_exits_one_and_writes_nothing(tmp_path, capsys, command, cfg):
+        "steady-singular-offset", "jobs-zero", "jobs-negative"])
+def test_rejected_config_exits_one_and_writes_nothing(tmp_path, capsys, command, cfg, jobs):
     out = tmp_path / "out"
-    rc = cli.main([command, "--config", str(write_config(tmp_path, cfg)), "--jobs", "1",
+    rc = cli.main([command, "--config", str(write_config(tmp_path, cfg)), "--jobs", jobs,
                    "--out", str(out)])
     assert rc == 1
     assert "config error" in capsys.readouterr().err
@@ -246,6 +249,29 @@ def test_unwritable_output_is_an_output_error(tmp_path, capsys, blocked):
     err = capsys.readouterr().err
     assert rc == 1
     assert "output error" in err and "config error" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bogus"],
+    [],
+    ["steady", "--preset", "fig3", "--jobs", "abc"],
+    ["steady", "--preset", "fig3", "--bogus"],
+], ids=["unknown-command", "no-command", "bad-flag-value", "unknown-flag"])
+def test_usage_error_exits_one(tmp_path, capsys, argv):
+    # Exit code 2, argparse's own for a usage error, means failed points here.
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dlmg") and "dlmg: error: " in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dlmg")
 
 
 def test_exit_code_one_without_config():

@@ -2,19 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from dlmg.hp import PHASE_BROKEN, PHASE_NORMAL, eigenvalues
 from dlmg.models import LMGParams
 from dlmg.semiclassical import (
     BROKEN_MINUS,
     BROKEN_PLUS,
     NORMAL,
+    STABILITY_THRESHOLD,
     BlochState,
     critical_points,
     fixed_points,
     flow,
     h_critical,
-    is_stable,
     lambda_critical,
     normal_phase_selected,
     selected_branch,
@@ -216,12 +219,70 @@ def test_integrate_basin_of_north_pole():
         assert np.max(np.abs(states[-1] - np.array([0.0, 0.0, 1.0]))) <= 1e-6
 
 
-def test_stability_helper_matches_eigenvalue_formula():
-    # Tangent-plane eigenvalues at the north pole are -Gamma_b +- 2 sqrt(h(lam-h)).
-    for lam in (0.5, 0.9, 1.005, 1.05, 2.0):
-        p = params(lam=lam)
-        expected_stable = max(
-            np.real(-p.Gamma_b + 2 * np.emath.sqrt(p.h * (lam - p.h))),
-            np.real(-p.Gamma_b - 2 * np.emath.sqrt(p.h * (lam - p.h))),
-        ) < 0
-        assert is_stable(p, BlochState(0.0, 0.0, 1.0)) == expected_stable
+def tangent_jacobian(p, s, step=1e-3):
+    """2x2 Jacobian of ``flow`` at ``s`` on the sphere's tangent plane, by central differences.
+
+    The flow is quadratic, so central differences are exact up to rounding at
+    any step; a large step keeps that rounding far below the 1e-6 tolerances.
+    """
+    n = s.as_array()
+    f = lambda v: np.array(flow(p, BlochState(*v)))
+    jac = np.column_stack([(f(n + step * e) - f(n - step * e)) / (2.0 * step) for e in np.eye(3)])
+    tangent = np.linalg.svd(n[None, :])[2][1:]  # orthonormal rows orthogonal to n
+    return tangent @ jac @ tangent.T
+
+
+def closed_form_pair(p, fp):
+    pair = eigenvalues(p, PHASE_NORMAL if fp.branch == NORMAL else PHASE_BROKEN)
+    return np.array([pair.mu_plus, pair.mu_minus])
+
+
+def test_closed_form_spectrum_matches_finite_difference_jacobian():
+    # Every fixed point of a grid with h < 0, Gamma_b = 0, the bistable window
+    # 0 < h < h_c and lam just above Gamma_b: the closed-form pair is the
+    # spectrum of the numerically linearized flow, and the labels follow it.
+    cases = [(h, lam, gb) for gb in (0.0, 0.2, 0.5) for h in (-1.3, -0.4, 0.03, 0.37, 1.0, 1.7)
+             for lam in (0.1, 0.55, 0.93, 1.41, 2.3)]
+    for gb in (0.2, 0.5):
+        cases += [(h, gb * (1 + 1e-4), gb) for h in (-0.7, 0.02, 0.3)]
+        cases += [(0.5 * h_critical(lam, gb), lam, gb) for lam in (0.55, 0.93, 1.41)]
+    seen = {"h<0": 0, "gb=0": 0, "bistable": 0, "lam>~gb": 0, "labels": 0}
+    for h, lam, gb in cases:
+        p = params(h=h, lam=lam, gb=gb)
+        fps = fixed_points(p)
+        for fp in fps:
+            numeric = np.linalg.eigvals(tangent_jacobian(p, fp.state))
+            closed = closed_form_pair(p, fp)
+            err = min(np.max(np.abs(closed - numeric)), np.max(np.abs(closed - numeric[::-1])))
+            assert err <= 1e-6, (h, lam, gb, fp.branch, closed, numeric)
+            if abs(np.max(closed.real)) > 1e-6:
+                assert fp.stable == (np.max(numeric.real) < STABILITY_THRESHOLD), (h, lam, gb)
+                seen["labels"] += 1
+        seen["h<0"] += h < 0
+        seen["gb=0"] += gb == 0
+        seen["bistable"] += sum(f.stable for f in fps) == 3 and h > 0
+        seen["lam>~gb"] += gb > 0 and lam < gb * (1 + 1e-3) and len(fps) == 3
+    assert min(seen.values()) > 0, seen
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(h=st.floats(-2.5, 2.5), lam=st.floats(0.0, 2.5), gb=st.floats(0.0, 0.5))
+def test_broken_pair_shares_one_spectrum(h, lam, gb):
+    # Why selected_branch needs no fallback: broken_minus is the image of
+    # broken_plus under the symmetry (x, y, z) -> (-x, -y, z) of the flow, so
+    # it is never the only stable point.
+    p = params(h=h, lam=lam, gb=gb)
+    assert selected_branch(p).branch != BROKEN_MINUS
+    fps = {f.branch: f for f in fixed_points(p)}
+    if BROKEN_PLUS not in fps:
+        return
+    plus, minus = fps[BROKEN_PLUS], fps[BROKEN_MINUS]
+    assert plus.stable == minus.stable
+    # The pair is the spectrum of both points: compare trace and determinant,
+    # which stay well conditioned where the two eigenvalues meet.
+    closed = closed_form_pair(p, plus)
+    for fp in (plus, minus):
+        tangent = tangent_jacobian(p, fp.state)
+        scale = 1.0 + np.max(np.abs(closed))
+        assert abs(np.trace(tangent) - closed.sum()) <= 1e-9 * scale
+        assert abs(np.linalg.det(tangent) - closed.prod()) <= 1e-9 * scale**2
