@@ -131,6 +131,9 @@ _DEFAULT_OUTPUTS = {"steady": "moments,entanglement", "dynamics": "entanglement"
 # Cavity keys passed to fig_cavity, whose keyword defaults apply when absent.
 _CAVITY_KEYS = ("gamma_b", "kappa_a", "delta_a", "kappa_b", "delta_b")
 
+# The angles of the ``cphi`` output.
+_CPHI_GRID = np.linspace(0.0, np.pi, 720, endpoint=False)
+
 _STEADY_COLUMNS = ["lambda", "h", "jx2", "jy2", "jz2", "sc_x", "sc_y", "sc_z", "sc_branch"]
 _ENTANGLEMENT_COLUMNS = ["c_r", "c_r_hp", "phi_star"]
 _EIGENVALUE_COLUMNS = ["phase", "re_mu_p", "im_mu_p", "re_mu_m", "im_mu_m",
@@ -429,11 +432,11 @@ def _hp_steady(params: LMGParams, fp):
 
 def _hp_dynamics_curve(params: LMGParams, times) -> list:
     """C_R^HP(t) from vacuum initial moments about the selected branch."""
-    from .observables import _hp_rescaled_concurrence
+    from .observables import hp_rescaled_concurrence
 
     def curve(trial):
         coeffs = hp_coefficients(trial, selected_branch(trial))
-        return [_hp_rescaled_concurrence(s)
+        return [hp_rescaled_concurrence(s)
                 for s in evolve_moments(coeffs, MomentState(n=0.0, m=0.0), times)]
 
     result = _offset_retry(params, curve)
@@ -463,20 +466,15 @@ def _steady_rho(params: LMGParams, algebra):
 
 
 def _steady_point(task):
-    from .observables import (
-        _hp_rescaled_concurrence,
-        _rescaled_concurrence_from_moments,
-        _second_moments,
-        _witness_peak,
-        entanglement_curve,
-    )
+    from .observables import (c_phi, hp_rescaled_concurrence, rescaled_concurrence,
+                              spin_moments, witness_peak)
     from .operators import build_algebra
 
     params, value, outputs, columns = task
     algebra = build_algebra(params.n_atoms)
     rho, record = _steady_rho(params, algebra)
     # Every collective moment is read once; the columns and C_R share them.
-    spin = _second_moments(rho, algebra)
+    spin = spin_moments(rho, algebra)
     j2 = (params.n_atoms / 2.0) ** 2
     row = {"lambda": params.lam, "h": params.h,
            **{name: spin[name] / j2 for name in ("jx2", "jy2", "jz2")}}
@@ -489,13 +487,12 @@ def _steady_point(task):
     if outputs & {"entanglement", "cphi", "eigenvalues"}:
         moments = _hp_steady(params, fp_sel)
     if outputs & {"entanglement", "cphi"}:
-        row["c_r"] = _rescaled_concurrence_from_moments(spin, algebra.n_spins)
-        row["phi_star"] = _witness_peak(spin, algebra.n_spins)
-        row["c_r_hp"] = np.nan if moments is None else _hp_rescaled_concurrence(moments)
+        row["c_r"] = rescaled_concurrence(spin, algebra.n_spins)
+        row["phi_star"] = witness_peak(spin, algebra.n_spins)
+        row["c_r_hp"] = np.nan if moments is None else hp_rescaled_concurrence(moments)
         if "cphi" in outputs:
-            ent = entanglement_curve(rho, algebra, moments=spin)
-            rows["cphi"] = np.column_stack(
-                [np.full(len(ent.phi_grid), value), ent.phi_grid, ent.c_phi])
+            rows["cphi"] = np.column_stack([np.full(len(_CPHI_GRID), value), _CPHI_GRID,
+                                            c_phi(spin, algebra.n_spins, _CPHI_GRID)])
     if "eigenvalues" in outputs:
         phase = "normal" if fp_sel.branch == NORMAL else "broken"
         pair = hp_eigenvalues(params, phase)
@@ -519,7 +516,7 @@ def _steady_point(task):
 
 def _dynamics_point(task):
     from .lindblad import evolve
-    from .observables import _moment_operators, trajectory_moments
+    from .observables import moment_operators, trajectory_moments
     from .operators import all_up_state, build_algebra, dicke_state
 
     params, outputs, columns, times, m0 = task
@@ -532,7 +529,7 @@ def _dynamics_point(task):
         algebra = build_algebra(params.n_atoms)
         rho0 = all_up_state(params.n_atoms) if m0 is None else dicke_state(params.n_atoms, m0)
         traj = evolve(build_gamma0(params, algebra), rho0, times,
-                      observables=_moment_operators(algebra), keep_states=False)
+                      observables=moment_operators(algebra), keep_states=False)
         record = {key: getattr(traj, key) for key in ("block_size", "matvecs", "window", "windows")}
         moments = trajectory_moments(traj.expectations, params.n_atoms)
         j2 = (params.n_atoms / 2.0) ** 2

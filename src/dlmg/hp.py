@@ -38,8 +38,8 @@ from .semiclassical import (
     BROKEN_PLUS,
     NORMAL,
     FixedPoint,
-    _linear_spectrum,
     lambda_critical,
+    linear_spectrum,
 )
 
 PHASE_NORMAL = "normal"
@@ -154,12 +154,12 @@ def eigenvalues(params: LMGParams, phase: str) -> EigenPair:
     if phase == PHASE_NORMAL:
         branch = NORMAL
     elif phase == PHASE_BROKEN:
-        if params.lam < gb:
-            raise ValueError("broken phase requires lam >= Gamma_b")
+        if params.lam < gb or params.lam == 0.0:  # Lam = 0 at lam = Gamma_b = 0
+            raise ValueError("broken phase requires lam >= Gamma_b and lam > 0")
         branch = BROKEN_PLUS
     else:
         raise ValueError(f"phase must be 'normal' or 'broken', got {phase!r}")
-    mu_plus, mu_minus = _linear_spectrum(params, branch)
+    mu_plus, mu_minus = linear_spectrum(params, branch)
     return EigenPair(mu_plus=mu_plus, mu_minus=mu_minus, regime_validated=validated)
 
 

@@ -10,9 +10,18 @@ C_R = (N-1) * C (pairwise concurrence scaled to survive the thermodynamic
 limit) follows from collective second moments through a two-branch closed
 form, and equals max over phi of max{0, C_phi}.
 
-The Holstein-Primakoff analogues use the Gaussian moments n = <c+c>,
-m = <c^2>; fourth moments reduce by Wick factorization,
-<(c+c)^2> = 2 n^2 + |m|^2 + n.
+Every finite-N diagnostic is a closed form in the eight collective moments
+that :func:`moment_operators` names:
+
+- :func:`spin_moments` reads them in a state, :func:`trajectory_moments`
+  from the expectations ``evolve`` returns along a trajectory;
+- :func:`c_phi`, :func:`witness_peak` (the optimal angle phi*) and
+  :func:`rescaled_concurrence` take those moments and N.
+
+The Holstein-Primakoff analogues :func:`hp_c_phi`, :func:`hp_witness_peak`
+and :func:`hp_rescaled_concurrence` take the Gaussian moments n = <c+c>,
+m = <c^2> of a :class:`hp.MomentState`; fourth moments reduce by Wick
+factorization, <(c+c)^2> = 2 n^2 + |m|^2 + n.
 
 The spin Q-function is the overlap of the state with spin coherent states
 |theta, phi>.  The coherent-state magnitudes are evaluated in the log domain
@@ -35,21 +44,13 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass
-class EntanglementResult:
-    phi_grid: np.ndarray
-    c_phi: np.ndarray
-    c_r: float
-    phi_star: float
-
-
-@dataclass
 class QFunctionGrid:
     thetas: np.ndarray
     phis: np.ndarray
     values: np.ndarray  # shape (len(thetas), len(phis))
 
 
-def _moment_operators(algebra: DickeAlgebra) -> dict:
+def moment_operators(algebra: DickeAlgebra) -> dict:
     """The collective operators whose expectations C_phi and C_R are built from."""
     jx, jy, jz, jp = algebra.jx, algebra.jy, algebra.jz, algebra.jplus
     return {
@@ -64,37 +65,39 @@ def _moment_operators(algebra: DickeAlgebra) -> dict:
     }
 
 
-def _second_moments(rho: np.ndarray, algebra: DickeAlgebra) -> dict:
-    """The expectations of :func:`_moment_operators` in ``rho``, real but for ``"jp2"``."""
-    moments = {name: expectation(op, rho) for name, op in _moment_operators(algebra).items()}
-    return {name: v if name == "jp2" else v.real for name, v in moments.items()}
+def _real_moments(values: dict) -> dict:
+    """The real parts of the expectations ``values``, but <J+^2> (``"jp2"``) stays complex."""
+    return {name: v if name == "jp2" else v.real for name, v in values.items()}
+
+
+def spin_moments(rho: np.ndarray, algebra: DickeAlgebra) -> dict:
+    """The expectations of :func:`moment_operators` in ``rho``, real but for ``"jp2"``."""
+    return _real_moments({name: expectation(op, rho)
+                          for name, op in moment_operators(algebra).items()})
 
 
 def trajectory_moments(values: dict, n_spins: int) -> dict:
     """Collective moments and C_R along a trajectory of N = ``n_spins`` spins.
 
     ``values`` holds the complex expectation values of the operators of
-    :func:`_moment_operators`, one array of length T each, as
+    :func:`moment_operators`, one array of length T each, as
     ``evolve(observables=...)`` returns them.
     The moments are their real parts, but ``"jp2"`` (<J+^2>) stays complex;
     ``"c_r"`` holds the rescaled concurrence at each time.
     """
-    moments = {name: v if name == "jp2" else v.real for name, v in values.items()}
+    moments = _real_moments(values)
     moments["c_r"] = np.array([
-        _rescaled_concurrence_from_moments({name: v[k] for name, v in moments.items()}, n_spins)
+        rescaled_concurrence({name: v[k] for name, v in moments.items()}, n_spins)
         for k in range(len(moments["jz"]))
     ])
     return moments
 
 
-def c_phi(rho: np.ndarray, algebra: DickeAlgebra, phi: float) -> float:
-    """Entanglement witness along quadrature angle phi (positive = entangled)."""
-    m = _second_moments(rho, algebra)
-    return _c_phi_from_moments(m, algebra.n_spins, phi)
+def c_phi(m: dict, n: int, phi):
+    """Witness C_phi of the moments ``m`` of N = ``n`` spins (positive = entangled).
 
-
-def _c_phi_from_moments(m: dict, n: int, phi):
-    """C_phi from the moments of :func:`_second_moments`; ``phi`` may be an array of angles."""
+    ``phi`` may be one angle or an array of angles.
+    """
     s, c = np.sin(phi), np.cos(phi)
     mean = s * m["jx"] + c * m["jy"]
     # Products, not **2: a numpy scalar's square may round apart from an array's.
@@ -103,26 +106,8 @@ def _c_phi_from_moments(m: dict, n: int, phi):
     return 1.0 - (4.0 / n) * var - (4.0 / n**2) * (mean * mean)
 
 
-def entanglement_curve(rho: np.ndarray, algebra: DickeAlgebra, n_phi: int = 720,
-                       moments: dict | None = None) -> EntanglementResult:
-    """C_phi over a phi grid, its exact optimum phi*, and the rescaled concurrence.
-
-    C_phi is evaluated on the whole grid at once; phi* comes from the closed
-    form of :func:`_witness_peak`, not from the grid.  ``moments``, if given,
-    are ``_second_moments(rho, algebra)``, already read by the caller.
-    """
-    if moments is None:
-        moments = _second_moments(rho, algebra)
-    n = algebra.n_spins
-    phis = np.linspace(0.0, np.pi, n_phi, endpoint=False)
-    curve = _c_phi_from_moments(moments, n, phis)
-    c_r = _rescaled_concurrence_from_moments(moments, n)
-    return EntanglementResult(phi_grid=phis, c_phi=curve, c_r=c_r,
-                              phi_star=_witness_peak(moments, n))
-
-
-def _witness_peak(m: dict, n: int) -> float:
-    """The angle phi* in [0, pi] where C_phi of the moments ``m`` peaks.
+def witness_peak(m: dict, n: int) -> float:
+    """The angle phi* in [0, pi) where C_phi of the moments ``m`` peaks.
 
     C_phi is a quadratic form in (sin phi, cos phi),
 
@@ -132,7 +117,7 @@ def _witness_peak(m: dict, n: int) -> float:
     with k = 4/N - 4/N^2, p = k <Jx>^2 - 4 <Jx^2>/N, q = k <Jy>^2 - 4 <Jy^2>/N
     and t = 2 k <Jx><Jy> - 4 <JxJy + JyJx>/N, so phi* = atan2(t, q - p) / 2.
     Where <Jx> = <Jy> = 0 this is -arg<J+^2> / 2, the finite-N form of the
-    HP optimum of :func:`hp_entanglement`.
+    HP optimum of :func:`hp_witness_peak`.
     """
     k = 4.0 / n - 4.0 / n**2
     p = k * m["jx"] * m["jx"] - 4.0 * m["jx2"] / n
@@ -142,17 +127,15 @@ def _witness_peak(m: dict, n: int) -> float:
 
 
 def _peak_angle(cos2: float, sin2: float) -> float:
-    """The phi in [0, pi] maximizing cos2 cos(2 phi) + sin2 sin(2 phi); 0 if both vanish."""
+    """The phi in [0, pi) maximizing cos2 cos(2 phi) + sin2 sin(2 phi); 0 if both vanish."""
     # + 0.0 turns -0.0 into 0.0, so that a flat curve gives atan2(0, 0) = 0.
-    return float(0.5 * np.arctan2(sin2 + 0.0, cos2 + 0.0) % np.pi)
+    phi = float(0.5 * np.arctan2(sin2 + 0.0, cos2 + 0.0) % np.pi)
+    # A tiny negative angle rounds to pi itself after % pi; pi is the angle 0.
+    return 0.0 if phi == np.pi else phi
 
 
-def rescaled_concurrence(rho: np.ndarray, algebra: DickeAlgebra) -> float:
-    """Rescaled concurrence C_R = (N-1) C from collective moments."""
-    return _rescaled_concurrence_from_moments(_second_moments(rho, algebra), algebra.n_spins)
-
-
-def _rescaled_concurrence_from_moments(m: dict, n: int) -> float:
+def rescaled_concurrence(m: dict, n: int) -> float:
+    """Rescaled concurrence C_R = (N-1) C from the moments ``m`` of N = ``n`` spins."""
     jz, jz2 = m["jz"], m["jz2"]
     jp2_abs = abs(m["jp2"])
     radicand = (n * (n - 2) + 4.0 * jz2) ** 2 - (4.0 * (n - 1) * jz) ** 2
@@ -178,16 +161,13 @@ def hp_c_phi(s: MomentState, phi) -> np.ndarray:
     return 2.0 * (s.m * np.exp(2j * phi)).real - 2.0 * s.n
 
 
-def hp_entanglement(s: MomentState, n_phi: int = 720) -> EntanglementResult:
-    """HP C_phi curve and rescaled concurrence from Gaussian moments."""
-    phis = np.linspace(0.0, np.pi, n_phi, endpoint=False)
+def hp_witness_peak(s: MomentState) -> float:
+    """The angle phi* in [0, pi) where :func:`hp_c_phi` peaks."""
     # C_phi = 2 Re m cos 2phi - 2 Im m sin 2phi - 2 n peaks at phi* = -arg(m) / 2.
-    phi_star = _peak_angle(s.m.real, -s.m.imag)
-    return EntanglementResult(phi_grid=phis, c_phi=hp_c_phi(s, phis),
-                              c_r=_hp_rescaled_concurrence(s), phi_star=phi_star)
+    return _peak_angle(s.m.real, -s.m.imag)
 
 
-def _hp_rescaled_concurrence(s: MomentState) -> float:
+def hp_rescaled_concurrence(s: MomentState) -> float:
     """HP rescaled concurrence C_R from the Gaussian moments alone."""
     n, m_abs = s.n, abs(s.m)
     # Wick closure for the fourth moment: <(c+c)^2> = 2 n^2 + |m|^2 + n.

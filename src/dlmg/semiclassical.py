@@ -97,7 +97,7 @@ def _lambda_big(lam: float, gamma_b: float) -> float:
     return lam + np.sqrt(lam**2 - gamma_b**2)
 
 
-def _linear_spectrum(params: LMGParams, branch: str) -> tuple:
+def linear_spectrum(params: LMGParams, branch: str) -> tuple:
     """Closed-form eigenvalues (mu_plus, mu_minus) of the flow linearized at ``branch``.
 
     Taken on the sphere's tangent plane, with the principal complex square
@@ -114,7 +114,7 @@ def _linear_spectrum(params: LMGParams, branch: str) -> tuple:
 
 
 def _stable(params: LMGParams, branch: str) -> bool:
-    return max(mu.real for mu in _linear_spectrum(params, branch)) < STABILITY_THRESHOLD
+    return max(mu.real for mu in linear_spectrum(params, branch)) < STABILITY_THRESHOLD
 
 
 def fixed_points(params: LMGParams) -> list:

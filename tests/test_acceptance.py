@@ -26,10 +26,10 @@ from dlmg.lindblad import evolve, liouvillian_matrix, steady_state
 from dlmg.models import LMGParams, build_gamma0
 from dlmg.observables import (
     c_phi,
-    entanglement_curve,
-    hp_entanglement,
+    hp_rescaled_concurrence,
     qfunction_norm,
     rescaled_concurrence,
+    spin_moments,
     spin_qfunction,
 )
 from dlmg.operators import all_up_state, build_algebra, expectation
@@ -148,13 +148,13 @@ def test_criterion_5_entanglement_peak():
     crs = []
     for lam in lams:
         rho = steady_state(build_gamma0(params_at(lam=lam), alg), tol=1e-10, check_unique=False)
-        crs.append(rescaled_concurrence(rho, alg))
+        crs.append(rescaled_concurrence(spin_moments(rho, alg), 100))
     lam_star = lams[int(np.argmax(crs))]
 
     lam_c = lambda_critical(1.0, 0.2)
     p_hp = params_at(lam=lam_c - 1e-4, ga=0.0)
     fp = {f.branch: f for f in fixed_points(p_hp)}[NORMAL]
-    cr_hp = hp_entanglement(moment_steady_state(hp_coefficients(p_hp, fp))).c_r
+    cr_hp = hp_rescaled_concurrence(moment_steady_state(hp_coefficients(p_hp, fp)))
     elapsed = time.perf_counter() - t0
     ok = 0.9 <= lam_star <= 1.1 and abs(cr_hp - 0.5) <= 1e-3 and elapsed < 1800.0
     report(
@@ -188,7 +188,7 @@ def test_criterion_6_oracle_equivalence():
     worst_cr = 0.0
     for _ in range(50):
         rho = random_parity_state(rng)
-        formula = rescaled_concurrence(rho, alg2)
+        formula = rescaled_concurrence(spin_moments(rho, alg2), 2)
         oracle = wootters_concurrence(EMBED @ rho @ EMBED.conj().T)
         worst_cr = max(worst_cr, abs(formula - oracle))
 
@@ -315,10 +315,11 @@ def test_criterion_9_invariant_suite():
     # C_phi periodicity and C_R = max_phi C_phi on a steady state
     alg8 = build_algebra(8)
     rho8 = steady_state(build_gamma0(params_at(lam=1.1, n=8), alg8), tol=1e-11)
+    m8 = spin_moments(rho8, alg8)
     for phi in np.linspace(0, np.pi, 5):
-        checks.append(abs(c_phi(rho8, alg8, phi) - c_phi(rho8, alg8, phi + np.pi)) <= 1e-12)
-    res = entanglement_curve(rho8, alg8)
-    checks.append(abs(res.c_r - max(0.0, res.c_phi.max())) <= 1e-3)
+        checks.append(abs(c_phi(m8, 8, phi) - c_phi(m8, 8, phi + np.pi)) <= 1e-12)
+    curve = c_phi(m8, 8, np.linspace(0.0, np.pi, 720, endpoint=False))
+    checks.append(abs(rescaled_concurrence(m8, 8) - max(0.0, curve.max())) <= 1e-3)
 
     # Q-function identity resolution
     alg50 = build_algebra(50)
@@ -342,8 +343,9 @@ def test_criterion_10_dynamics_consistency():
         p = params_at(lam=lam)
         spec = build_gamma0(p, alg)
         traj = evolve(spec, all_up_state(100), np.array([60.0, 80.0]))
-        cr_t = rescaled_concurrence(traj.states[-1], alg)
-        cr_ss = rescaled_concurrence(steady_state(spec, tol=1e-10, check_unique=False), alg)
+        cr_t = rescaled_concurrence(spin_moments(traj.states[-1], alg), 100)
+        rho = steady_state(spec, tol=1e-10, check_unique=False)
+        cr_ss = rescaled_concurrence(spin_moments(rho, alg), 100)
         rel_diffs[lam] = abs(cr_t - cr_ss) / cr_ss
     elapsed = time.perf_counter() - t0
     ok = all(d <= 0.02 for d in rel_diffs.values())

@@ -699,7 +699,7 @@ def test_dynamics_lambda_zero_column_unentangled(tmp_path):
 def test_dynamics_columns_match_per_state_observables(tmp_path):
     from dlmg.lindblad import evolve
     from dlmg.models import LMGParams, build_gamma0
-    from dlmg.observables import rescaled_concurrence
+    from dlmg.observables import rescaled_concurrence, spin_moments
     from dlmg.operators import all_up_state, build_algebra, expectation
 
     cfg = write_config(
@@ -731,9 +731,36 @@ def test_dynamics_columns_match_per_state_observables(tmp_path):
         spec = build_gamma0(LMGParams(n_atoms=6, h=1.0, lam=lam, Gamma_a=0.01, Gamma_b=0.2), alg)
         states = evolve(spec, all_up_state(6), times).states
         for row, rho in zip(rows[k * 9:(k + 1) * 9], states):
-            assert abs(float(row["c_r"]) - rescaled_concurrence(rho, alg)) <= 1e-12
+            assert abs(float(row["c_r"]) - rescaled_concurrence(spin_moments(rho, alg), 6)) <= 1e-12
             for name, op in (("jx2", alg.jx), ("jy2", alg.jy), ("jz2", alg.jz)):
                 assert abs(float(row[name]) - expectation(op @ op, rho).real / 9.0) <= 1e-12
+
+
+def test_cphi_columns_are_the_witness_of_the_steady_moments(tmp_path):
+    # phi runs over 720 angles in [0, pi); c_phi is the witness of the
+    # moments of each point's steady state.
+    from dlmg.lindblad import steady_solution
+    from dlmg.models import LMGParams, build_gamma0
+    from dlmg.observables import c_phi, spin_moments
+    from dlmg.operators import build_algebra
+
+    cfg = write_config(tmp_path, {**FAST_STEADY, "sweep.points": "2", "outputs": "cphi"})
+    out = tmp_path / "cphi"
+    assert cli.main(["steady", "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 0
+    lines = [l for l in (out / "cphi_N6.csv").read_text().splitlines() if not l.startswith("#")]
+    assert lines[0] == "lambda,phi,c_phi"
+    rows = [l.split(",") for l in lines[1:]]
+    assert len(rows) == 2 * 720
+    grid = np.linspace(0.0, np.pi, 720, endpoint=False)
+    alg = build_algebra(6)
+    for k, lam in enumerate((0.4, 1.6)):
+        spec = build_gamma0(LMGParams(n_atoms=6, h=1.0, lam=lam, Gamma_a=0.01, Gamma_b=0.2), alg)
+        rho = steady_solution(spec, tol=1e-10, check_unique=False).rho
+        block = rows[k * 720:(k + 1) * 720]
+        assert all(float(r[0]) == lam for r in block)
+        assert [r[1] for r in block] == [f"{phi:.15g}" for phi in grid]
+        curve = c_phi(spin_moments(rho, alg), 6, grid)
+        assert np.max(np.abs(np.array([float(r[2]) for r in block]) - curve)) <= 1e-12
 
 
 def test_spectrum_command_writes_per_value_files(tmp_path):

@@ -146,6 +146,13 @@ def test_broken_coefficients_require_supercritical():
         hp_coefficients(p, fake)
 
 
+@pytest.mark.parametrize("lam, gb", [(0.1, 0.2), (0.0, 0.0)])
+def test_broken_eigenvalues_need_a_real_nonzero_lambda_big(lam, gb):
+    # lam < Gamma_b makes Lam complex; lam = Gamma_b = 0 makes Lam = 0.
+    with pytest.raises(ValueError, match="broken phase"):
+        eigenvalues(params(lam=lam, gb=gb), PHASE_BROKEN)
+
+
 def test_coefficients_invariant_under_branch_swap():
     from dlmg.semiclassical import BROKEN_MINUS
 

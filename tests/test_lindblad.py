@@ -27,8 +27,8 @@ from dlmg.lindblad import (
     validate_density_matrix,
 )
 from dlmg.models import LMGParams, build_conventional, build_gamma0, build_isotropic
-from dlmg.observables import (_coherent_state, _moment_operators, entanglement_curve,
-                              trajectory_moments)
+from dlmg.observables import (_coherent_state, moment_operators, rescaled_concurrence,
+                              spin_moments, trajectory_moments)
 from dlmg.operators import all_up_state, build_algebra, dicke_state, expectation
 
 
@@ -483,7 +483,7 @@ def _moments_and_cr(rho, alg):
     j2 = (alg.n_spins / 2.0) ** 2
     ops = (alg.jx @ alg.jx, alg.jy @ alg.jy, alg.jz @ alg.jz)
     return np.array([expectation(op, rho).real / j2 for op in ops]
-                    + [entanglement_curve(rho, alg).c_r])
+                    + [rescaled_concurrence(spin_moments(rho, alg), alg.n_spins)])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=10)
@@ -769,7 +769,7 @@ def test_evolve_complex_generator_entries_match_dense_expm():
 def test_evolve_keeps_trace_hermiticity_and_cr_bound(n, h, lam, gamma_a, gamma_b, t_end):
     spec = gamma0_spec(n, h, lam, gamma_a, gamma_b)
     traj = evolve(spec, all_up_state(n), np.linspace(0.0, t_end, 9),
-                  observables=_moment_operators(build_algebra(n)))
+                  observables=moment_operators(build_algebra(n)))
     states = traj.states
     assert np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)) <= 1e-12
     assert np.max(np.abs(states - states.conj().transpose(0, 2, 1))) <= 1e-12

@@ -10,17 +10,17 @@ from dlmg.hp import MomentState, hp_coefficients, moment_steady_state
 from dlmg.lindblad import steady_state
 from dlmg.models import LMGParams, build_gamma0
 from dlmg.observables import (
-    _c_phi_from_moments,
     _coherent_magnitudes,
     _coherent_state,
-    _second_moments,
     c_phi,
-    entanglement_curve,
     hp_c_phi,
-    hp_entanglement,
+    hp_rescaled_concurrence,
+    hp_witness_peak,
     qfunction_norm,
     rescaled_concurrence,
+    spin_moments,
     spin_qfunction,
+    witness_peak,
 )
 from dlmg.operators import all_up_state, build_algebra
 from dlmg.semiclassical import (
@@ -34,6 +34,8 @@ S2 = 1.0 / np.sqrt(2.0)
 # Triplet-sector embedding into the two-qubit product basis (uu, ud, du, dd).
 EMBED = np.array([[1, 0, 0], [0, S2, 0], [0, S2, 0], [0, 0, 1]], dtype=complex)
 SYSY = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
+# The angles of the CLI's cphi output.
+PHI_GRID = np.linspace(0.0, np.pi, 720, endpoint=False)
 
 
 def wootters_concurrence(rho4):
@@ -76,10 +78,9 @@ def model_steady(n, h, lam, ga, gb, tol=1e-11):
 
 def test_c_phi_coherent_state_zero():
     for n in (1, 4, 33):
-        alg = build_algebra(n)
-        rho = all_up_state(n)
+        m = spin_moments(all_up_state(n), build_algebra(n))
         for phi in np.linspace(0, np.pi, 7):
-            assert c_phi(rho, alg, phi) == pytest.approx(0.0, abs=1e-12)
+            assert c_phi(m, n, phi) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_c_phi_maximally_mixed_brute_force():
@@ -88,29 +89,28 @@ def test_c_phi_maximally_mixed_brute_force():
     alg = build_algebra(2)
     rho = np.eye(3, dtype=complex) / 3.0
     jphi = lambda phi: np.sin(phi) * alg.jx.toarray() + np.cos(phi) * alg.jy.toarray()
+    m = spin_moments(rho, alg)
     for phi in (0.0, 0.4, 1.1, 2.9):
         second = np.trace(jphi(phi) @ jphi(phi) @ rho).real
         expected = 1.0 - 2.0 * second
         assert expected == pytest.approx(-1.0 / 3.0, abs=1e-12)
-        assert c_phi(rho, alg, phi) == pytest.approx(expected, abs=1e-12)
-        assert c_phi(rho, alg, phi) < 0.0  # unentangled
+        assert c_phi(m, 2, phi) == pytest.approx(expected, abs=1e-12)
+        assert c_phi(m, 2, phi) < 0.0  # unentangled
 
 
 def test_c_phi_pi_periodic():
-    rho = model_steady(8, 1.0, 1.2, 0.01, 0.2)
-    alg = build_algebra(8)
+    m = spin_moments(model_steady(8, 1.0, 1.2, 0.01, 0.2), build_algebra(8))
     for phi in np.linspace(0, np.pi, 9):
-        assert c_phi(rho, alg, phi) == pytest.approx(c_phi(rho, alg, phi + np.pi), abs=1e-12)
+        assert c_phi(m, 8, phi) == pytest.approx(c_phi(m, 8, phi + np.pi), abs=1e-12)
 
 
 def test_c_phi_steady_state_max_near_zero_angle():
     #
 
-    rho = model_steady(40, 1.0, 0.9, 0.01, 0.2)
-    alg = build_algebra(40)
-    res = entanglement_curve(rho, alg)
-    assert res.c_r > 0.2
-    phi_star = res.phi_star if res.phi_star < np.pi / 2 else res.phi_star - np.pi
+    m = spin_moments(model_steady(40, 1.0, 0.9, 0.01, 0.2), build_algebra(40))
+    assert rescaled_concurrence(m, 40) > 0.2
+    phi_star = witness_peak(m, 40)
+    phi_star = phi_star if phi_star < np.pi / 2 else phi_star - np.pi
     assert abs(phi_star) < 0.3
 
 
@@ -119,8 +119,7 @@ def test_c_phi_steady_state_max_near_zero_angle():
 
 def test_concurrence_product_state_zero():
     for n in (2, 6, 20):
-        alg = build_algebra(n)
-        assert rescaled_concurrence(all_up_state(n), alg) == 0.0
+        assert rescaled_concurrence(spin_moments(all_up_state(n), build_algebra(n)), n) == 0.0
 
 
 def test_concurrence_bell_state():
@@ -128,7 +127,7 @@ def test_concurrence_bell_state():
     psi = np.zeros(3, dtype=complex)
     psi[0] = psi[2] = S2  # (|uu> + |dd>)/sqrt(2)
     rho = np.outer(psi, psi.conj())
-    assert rescaled_concurrence(rho, alg) == pytest.approx(1.0, abs=1e-12)
+    assert rescaled_concurrence(spin_moments(rho, alg), 2) == pytest.approx(1.0, abs=1e-12)
     rho4 = EMBED @ rho @ EMBED.conj().T
     assert wootters_concurrence(rho4) == pytest.approx(1.0, abs=1e-12)
 
@@ -141,7 +140,7 @@ def test_concurrence_matches_two_qubit_oracles():
     for _ in range(50):
         rho = random_parity_state(rng)
         rho4 = EMBED @ rho @ EMBED.conj().T
-        formula = rescaled_concurrence(rho, alg)
+        formula = rescaled_concurrence(spin_moments(rho, alg), 2)
         assert formula == pytest.approx(wootters_concurrence(rho4), abs=1e-10)
         assert formula == pytest.approx(xstate_concurrence(rho4), abs=1e-10)
 
@@ -157,10 +156,9 @@ def test_concurrence_equals_optimal_witness_on_steady_states():
             ga=float(rng.uniform(0.0, 0.05)),
             gb=float(rng.uniform(0.05, 0.35)),
         )
-        alg = build_algebra(n)
-        res = entanglement_curve(rho, alg)
-        best = max(0.0, res.c_phi.max(), c_phi(rho, alg, res.phi_star))
-        assert res.c_r == pytest.approx(best, abs=1e-12)
+        m = spin_moments(rho, build_algebra(n))
+        best = max(0.0, c_phi(m, n, PHI_GRID).max(), c_phi(m, n, witness_peak(m, n)))
+        assert rescaled_concurrence(m, n) == pytest.approx(best, abs=1e-12)
 
 
 def test_optimal_angle_is_the_top_eigenvector_of_the_witness_form():
@@ -179,11 +177,11 @@ def test_optimal_angle_is_the_top_eigenvector_of_the_witness_form():
     dense = np.linspace(0.0, np.pi, 200_001)
     resolved = 0
     for i, (n, rho) in enumerate(states):
-        m = _second_moments(rho, build_algebra(n))
+        m = spin_moments(rho, build_algebra(n))
         if i < 60:
             assert min(abs(m["jx"]), abs(m["jy"])) > 1e-6
-        phi_star = entanglement_curve(rho, build_algebra(n), moments=m).phi_star
-        assert 0.0 <= phi_star <= np.pi
+        phi_star = witness_peak(m, n)
+        assert 0.0 <= phi_star < np.pi
         k = 4.0 / n - 4.0 / n**2
         p = k * m["jx"] ** 2 - 4.0 * m["jx2"] / n
         q = k * m["jy"] ** 2 - 4.0 * m["jy2"] / n
@@ -193,8 +191,8 @@ def test_optimal_angle_is_the_top_eigenvector_of_the_witness_form():
             off = (phi_star - np.arctan2(*evecs[:, 1])) % np.pi
             assert min(off, np.pi - off) < 1e-9
             resolved += 1
-        peak = _c_phi_from_moments(m, n, phi_star)
-        assert peak >= _c_phi_from_moments(m, n, dense).max() - 1e-14
+        peak = c_phi(m, n, phi_star)
+        assert peak >= c_phi(m, n, dense).max() - 1e-14
     assert resolved >= len(states) - 2
 
 
@@ -202,31 +200,34 @@ def test_optimal_angle_of_a_flat_witness_is_zero():
     # The maximally mixed state has C_phi independent of phi.
     for n in (2, 7):
         rho = np.eye(n + 1) / (n + 1)
-        assert entanglement_curve(rho, build_algebra(n)).phi_star == 0.0
-    assert hp_entanglement(MomentState(n=0.3, m=0.0)).phi_star == 0.0
+        assert witness_peak(spin_moments(rho, build_algebra(n)), n) == 0.0
+    assert hp_witness_peak(MomentState(n=0.3, m=0.0)) == 0.0
 
 
-def test_entanglement_curve_equals_the_scalar_witness_at_every_angle():
+def test_optimal_angle_stays_below_pi():
+    # An optimum a rounding error below 0 is reported as 0, not as pi.
+    m = {"jx": 0.0, "jy": 0.0, "jx2": 2.0, "jy2": 1.0, "jxjy_sym": 1e-18}
+    assert witness_peak(m, 4) == 0.0
+    assert hp_witness_peak(MomentState(n=0.3, m=1.0 + 1e-20j)) == 0.0
+    assert hp_witness_peak(MomentState(n=0.3, m=1.0 - 1e-20j)) == 5e-21
+
+
+def test_c_phi_on_an_angle_array_equals_the_scalar_witness_at_every_angle():
     # The curve is evaluated on the whole grid at once; every value is the scalar one.
     for n, lam in ((3, 0.4), (20, 1.3), (60, 2.0)):
-        rho = model_steady(n, 1.0, lam, 0.01, 0.2)
-        alg = build_algebra(n)
-        moments = _second_moments(rho, alg)
-        res = entanglement_curve(rho, alg)
-        assert res.c_phi.shape == res.phi_grid.shape == (720,)
-        assert all(res.c_phi[k] == _c_phi_from_moments(moments, n, phi)
-                   for k, phi in enumerate(res.phi_grid))
-        shared = entanglement_curve(rho, alg, moments=moments)
-        assert np.array_equal(shared.c_phi, res.c_phi)
-        assert (shared.c_r, shared.phi_star) == (res.c_r, res.phi_star)
+        m = spin_moments(model_steady(n, 1.0, lam, 0.01, 0.2), build_algebra(n))
+        curve = c_phi(m, n, PHI_GRID)
+        assert curve.shape == (720,)
+        assert all(curve[k] == c_phi(m, n, phi) for k, phi in enumerate(PHI_GRID))
 
 
 def test_witness_width_narrows_like_inverse_sqrt_n():
     widths = {}
     for n in (25, 50, 100):
         rho = model_steady(n, 1.0, 1.5, 0.01, 0.2, tol=1e-10)
-        res = entanglement_curve(rho, build_algebra(n), n_phi=2000)
-        widths[n] = np.mean(res.c_phi > 0) * np.pi
+        curve = c_phi(spin_moments(rho, build_algebra(n)), n,
+                      np.linspace(0.0, np.pi, 2000, endpoint=False))
+        widths[n] = np.mean(curve > 0) * np.pi
     scaled = [widths[n] * np.sqrt(n) for n in (25, 50, 100)]
     assert max(scaled) / min(scaled) <= 1.5
 
@@ -235,9 +236,9 @@ def test_witness_width_narrows_like_inverse_sqrt_n():
 
 
 def test_hp_entanglement_vacuum():
-    res = hp_entanglement(MomentState(n=0.0, m=0.0))
-    assert np.allclose(res.c_phi, 0.0)
-    assert res.c_r == 0.0
+    vacuum = MomentState(n=0.0, m=0.0)
+    assert np.allclose(hp_c_phi(vacuum, PHI_GRID), 0.0)
+    assert hp_rescaled_concurrence(vacuum) == 0.0
 
 
 def test_hp_witness_closed_form():
@@ -255,7 +256,7 @@ def test_hp_concurrence_critical_limit():
     p = LMGParams(n_atoms=100, h=1.0, lam=lam_c - 1e-4, Gamma_a=0.0, Gamma_b=0.2)
     fp = {f.branch: f for f in fixed_points(p)}[NORMAL]
     ss = moment_steady_state(hp_coefficients(p, fp))
-    assert hp_entanglement(ss).c_r == pytest.approx(0.5, abs=1e-3)
+    assert hp_rescaled_concurrence(ss) == pytest.approx(0.5, abs=1e-3)
 
 
 def test_hp_concurrence_matches_analytic_form():
@@ -269,7 +270,7 @@ def test_hp_concurrence_matches_analytic_form():
         ss = moment_steady_state(hp_coefficients(p, fp))
         gap = 4.0 * 1.0 * (lam_c - lam)
         closed = lam * (np.sqrt(gap + lam**2) - lam) / gap
-        assert hp_entanglement(ss).c_r == pytest.approx(closed, abs=1e-6)
+        assert hp_rescaled_concurrence(ss) == pytest.approx(closed, abs=1e-6)
 
 
 def test_transient_entanglement_rises_high():
@@ -283,8 +284,9 @@ def test_transient_entanglement_rises_high():
     spec = build_gamma0(p, alg)
     times = np.linspace(0.1, 3.0, 16)
     traj = evolve(spec, all_up_state(100), times)
-    crs = [rescaled_concurrence(s, alg) for s in traj.states]
-    steady = rescaled_concurrence(steady_state(spec, tol=1e-10, check_unique=False), alg)
+    crs = [rescaled_concurrence(spin_moments(s, alg), 100) for s in traj.states]
+    rho = steady_state(spec, tol=1e-10, check_unique=False)
+    steady = rescaled_concurrence(spin_moments(rho, alg), 100)
     assert max(crs) > 0.5
     assert max(crs) > 2.0 * steady
 
@@ -299,7 +301,8 @@ def test_hp_steady_flow_agrees_with_entanglement_point():
     coeffs = hp_coefficients(p, fp)
     ss = moment_steady_state(coeffs)
     relaxed = evolve_moments(coeffs, MomentState(n=0.0, m=0.0), [0.0, 200.0])[-1]
-    assert hp_entanglement(relaxed).c_r == pytest.approx(hp_entanglement(ss).c_r, abs=1e-8)
+    assert hp_rescaled_concurrence(relaxed) == pytest.approx(hp_rescaled_concurrence(ss),
+                                                             abs=1e-8)
 
 
 def test_hp_concurrence_first_order_closed_form():
@@ -310,7 +313,7 @@ def test_hp_concurrence_first_order_closed_form():
     for h in (-0.5, -0.1, 0.0, 0.005):
         p = LMGParams(n_atoms=100, h=h, lam=1.0, Gamma_a=0.0, Gamma_b=gb)
         fp = {f.branch: f for f in fixed_points(p)}[NORMAL]
-        cr = hp_entanglement(moment_steady_state(hp_coefficients(p, fp))).c_r
+        cr = hp_rescaled_concurrence(moment_steady_state(hp_coefficients(p, fp)))
         d = 4.0 * h * h - 4.0 * h * 1.0 + gb * gb
         closed = 1.0 * (np.sqrt(d + 1.0) - 1.0) / d
         assert cr == pytest.approx(closed, abs=1e-6)
@@ -319,10 +322,10 @@ def test_hp_concurrence_first_order_closed_form():
 def test_hp_matches_finite_n():
     for lam in (0.5, 0.9):
         rho = model_steady(100, 1.0, lam, 0.01, 0.2, tol=1e-10)
-        cr_fn = rescaled_concurrence(rho, build_algebra(100))
+        cr_fn = rescaled_concurrence(spin_moments(rho, build_algebra(100)), 100)
         p = LMGParams(n_atoms=100, h=1.0, lam=lam, Gamma_a=0.01, Gamma_b=0.2)
         fp = {f.branch: f for f in fixed_points(p)}[NORMAL]
-        cr_hp = hp_entanglement(moment_steady_state(hp_coefficients(p, fp))).c_r
+        cr_hp = hp_rescaled_concurrence(moment_steady_state(hp_coefficients(p, fp)))
         assert abs(cr_fn - cr_hp) <= 0.1
 
 
@@ -332,10 +335,10 @@ def test_hp_matches_finite_n_broken_phase():
     # perpendicular to the lobe splitting).
     for lam in (1.2, 1.5):
         rho = model_steady(100, 1.0, lam, 0.01, 0.2, tol=1e-10)
-        cr_fn = rescaled_concurrence(rho, build_algebra(100))
+        cr_fn = rescaled_concurrence(spin_moments(rho, build_algebra(100)), 100)
         p = LMGParams(n_atoms=100, h=1.0, lam=lam, Gamma_a=0.01, Gamma_b=0.2)
         fp = {f.branch: f for f in fixed_points(p)}[BROKEN_PLUS]
-        cr_hp = hp_entanglement(moment_steady_state(hp_coefficients(p, fp))).c_r
+        cr_hp = hp_rescaled_concurrence(moment_steady_state(hp_coefficients(p, fp)))
         assert abs(cr_fn - cr_hp) <= 0.05
 
 
