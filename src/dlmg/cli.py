@@ -56,7 +56,8 @@ diagnostics, including each point's wall time ``wall_s`` measured in the
 worker; for dynamics, the ladder levels ``[lo, hi]`` of its last window
 (``window``, hi excluded), the level count of every window it was
 propagated on, the last one last (``windows``), the ``block_size`` of the
-last window's reachable block and the ``matvecs`` it took (retried steps
+last window's block (its coordinates in the symmetry sectors of the initial
+state) and the ``matvecs`` it took (retried steps
 included); for steady and qfunc, the ladder levels ``[lo, hi]`` the steady
 state was solved on (``window``), its full-space ``residual``, the level
 count of every window tried, the accepted one last (``windows``), and the

@@ -22,7 +22,7 @@ from dlmg.hp import (
     moment_steady_state,
     rotation_angles,
 )
-from dlmg.lindblad import evolve, liouvillian_matrix, steady_state
+from dlmg.lindblad import evolve, liouvillian_matrix, steady_solution
 from dlmg.models import LMGParams, build_gamma0
 from dlmg.observables import (
     c_phi,
@@ -123,7 +123,7 @@ def test_criterion_4_finite_n_vs_thermodynamic():
     t0 = time.perf_counter()
     p = params_at(lam=2.0)
     alg = build_algebra(100)
-    rho = steady_state(build_gamma0(p, alg), tol=1e-10)
+    rho = steady_solution(build_gamma0(p, alg), tol=1e-10).rho
     j2 = 50.0**2
     jz2 = expectation(alg.jz @ alg.jz, rho).real / j2
     jx2 = expectation(alg.jx @ alg.jx, rho).real / j2
@@ -147,7 +147,8 @@ def test_criterion_5_entanglement_peak():
     alg = build_algebra(100)
     crs = []
     for lam in lams:
-        rho = steady_state(build_gamma0(params_at(lam=lam), alg), tol=1e-10, check_unique=False)
+        spec = build_gamma0(params_at(lam=lam), alg)
+        rho = steady_solution(spec, tol=1e-10, check_unique=False).rho
         crs.append(rescaled_concurrence(spin_moments(rho, alg), 100))
     lam_star = lams[int(np.argmax(crs))]
 
@@ -177,7 +178,7 @@ def test_criterion_6_oracle_equivalence():
         rho_oracle = ns[:, 0].reshape(n + 1, n + 1)
         rho_oracle /= np.trace(rho_oracle)
         rho_oracle = 0.5 * (rho_oracle + rho_oracle.conj().T)
-        rho = steady_state(spec, tol=1e-12)
+        rho = steady_solution(spec, tol=1e-12).rho
         worst_steady = max(worst_steady, float(np.max(np.abs(rho - rho_oracle))))
 
     # two-qubit concurrence oracle on 50 random parity-block symmetric states
@@ -314,7 +315,7 @@ def test_criterion_9_invariant_suite():
 
     # C_phi periodicity and C_R = max_phi C_phi on a steady state
     alg8 = build_algebra(8)
-    rho8 = steady_state(build_gamma0(params_at(lam=1.1, n=8), alg8), tol=1e-11)
+    rho8 = steady_solution(build_gamma0(params_at(lam=1.1, n=8), alg8), tol=1e-11).rho
     m8 = spin_moments(rho8, alg8)
     for phi in np.linspace(0, np.pi, 5):
         checks.append(abs(c_phi(m8, 8, phi) - c_phi(m8, 8, phi + np.pi)) <= 1e-12)
@@ -323,7 +324,7 @@ def test_criterion_9_invariant_suite():
 
     # Q-function identity resolution
     alg50 = build_algebra(50)
-    rho50 = steady_state(build_gamma0(params_at(lam=2.0, n=50), alg50), tol=1e-10)
+    rho50 = steady_solution(build_gamma0(params_at(lam=2.0, n=50), alg50), tol=1e-10).rho
     nodes, _ = np.polynomial.legendre.leggauss(110)
     grid = spin_qfunction(rho50, alg50, np.arccos(nodes)[::-1],
                           np.linspace(0, 2 * np.pi, 120, endpoint=False))
@@ -344,7 +345,7 @@ def test_criterion_10_dynamics_consistency():
         spec = build_gamma0(p, alg)
         traj = evolve(spec, all_up_state(100), np.array([60.0, 80.0]))
         cr_t = rescaled_concurrence(spin_moments(traj.states[-1], alg), 100)
-        rho = steady_state(spec, tol=1e-10, check_unique=False)
+        rho = steady_solution(spec, tol=1e-10, check_unique=False).rho
         cr_ss = rescaled_concurrence(spin_moments(rho, alg), 100)
         rel_diffs[lam] = abs(cr_t - cr_ss) / cr_ss
     elapsed = time.perf_counter() - t0

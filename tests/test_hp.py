@@ -283,7 +283,7 @@ def test_moment_flow_vacuum_decay():
     assert dre_m == 0.0 and dim_m == 0.0
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(
     h=st.floats(-2.0, 2.0),
     lam=st.floats(0.0, 2.0),

@@ -191,20 +191,20 @@ def test_isotropic_matches_gamma0_at_zero_coupling():
 def test_isotropic_steady_state_is_diagonal():
     # [H, Jz] = 0 and the J+- dissipators only pump populations, so
     # coherences decay away entirely.
-    from dlmg.lindblad import steady_state
+    from dlmg.lindblad import steady_solution
 
     alg = build_algebra(12)
     params = LMGParams(n_atoms=12, h=0.8, lam=1.1, gamma_anisotropy=1, Gamma_a=0.07, Gamma_b=0.15)
-    rho = steady_state(build_isotropic(params, alg), tol=1e-12)
+    rho = steady_solution(build_isotropic(params, alg), tol=1e-12).rho
     assert np.max(np.abs(rho - np.diag(np.diag(rho)))) <= 1e-12
 
 
 def test_conventional_steady_state_parity_symmetric():
-    from dlmg.lindblad import steady_state
+    from dlmg.lindblad import steady_solution
 
     alg = build_algebra(12)
     params = LMGParams(n_atoms=12, h=0.8, lam=1.1, gamma_anisotropy=-1, Gamma_a=0.1, Gamma_b=0.1)
-    rho = steady_state(build_conventional(params, alg, alpha=0.8, beta=0.6), tol=1e-12)
+    rho = steady_solution(build_conventional(params, alg, alpha=0.8, beta=0.6), tol=1e-12).rho
     parity = np.diag(np.exp(1j * np.pi * np.diag(alg.jz.toarray())))
     assert np.max(np.abs(parity @ rho - rho @ parity)) <= 1e-10
 

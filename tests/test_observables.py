@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dlmg.hp import MomentState, hp_coefficients, moment_steady_state
-from dlmg.lindblad import steady_state
+from dlmg.lindblad import steady_solution
 from dlmg.models import LMGParams, build_gamma0
 from dlmg.observables import (
     _coherent_magnitudes,
@@ -70,7 +70,7 @@ def random_parity_state(rng):
 
 def model_steady(n, h, lam, ga, gb, tol=1e-11):
     params = LMGParams(n_atoms=n, h=h, lam=lam, Gamma_a=ga, Gamma_b=gb)
-    return steady_state(build_gamma0(params, build_algebra(n)), tol=tol)
+    return steady_solution(build_gamma0(params, build_algebra(n)), tol=tol).rho
 
 
 # -- C_phi -------------------------------------------------------------------------
@@ -285,7 +285,7 @@ def test_transient_entanglement_rises_high():
     times = np.linspace(0.1, 3.0, 16)
     traj = evolve(spec, all_up_state(100), times)
     crs = [rescaled_concurrence(spin_moments(s, alg), 100) for s in traj.states]
-    rho = steady_state(spec, tol=1e-10, check_unique=False)
+    rho = steady_solution(spec, tol=1e-10, check_unique=False).rho
     steady = rescaled_concurrence(spin_moments(rho, alg), 100)
     assert max(crs) > 0.5
     assert max(crs) > 2.0 * steady

@@ -265,7 +265,7 @@ def test_closed_form_spectrum_matches_finite_difference_jacobian():
     assert min(seen.values()) > 0, seen
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(h=st.floats(-2.5, 2.5), lam=st.floats(0.0, 2.5), gb=st.floats(0.0, 0.5))
 def test_broken_pair_shares_one_spectrum(h, lam, gb):
     # Why selected_branch needs no fallback: broken_minus is the image of
